@@ -3,8 +3,7 @@
 //! Criterion benchmarks for the hot paths (statistics pass, allocation,
 //! reservoirs, group-by engine, estimation, end-to-end sampling) and the
 //! [`reproduce`](../src/bin/reproduce.rs) binary that regenerates every
-//! table and figure of the paper. See `DESIGN.md` §4 for the experiment
-//! index and `EXPERIMENTS.md` for recorded outputs.
+//! table and figure of the paper.
 
 /// Shared fixture sizes for benches, kept here so all benches agree.
 pub mod fixtures {

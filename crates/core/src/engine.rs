@@ -9,8 +9,8 @@
 //! ([`SamplingProblem::fingerprint`]), so repeat queries never re-scan the
 //! base table.
 //!
-//! * [`Engine::register`] — add a table to the catalog from any
-//!   [`TableSource`] (a local table, local shards, or a remote shard set);
+//! * [`Engine::register`] — add a table to the catalog as a
+//!   [`CatalogTable`] (a local table, local shards, or a remote shard set);
 //!   SQL `FROM` names resolve against it (case-insensitive).
 //! * [`Engine::prepare`] — plan + draw a CVOPT sample for a problem, or
 //!   return the cached one; yields a [`SampleHandle`]. Explicitly prepared
@@ -54,20 +54,24 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use cvopt_table::agg::AggState;
 use cvopt_table::exec::{partition_rows, ExecOptions};
 use cvopt_table::groupby::{choose_strategy, estimate_keys};
 use cvopt_table::{
     hash_join, hash_join_sharded, sql, AggKind, GroupByQuery, GroupIndex, GroupStrategy,
-    QueryResult, ScalarExpr, ShardSet, ShardedTable, Table,
+    QueryResult, ScalarExpr, Schema, ShardSet, ShardedTable, Table,
 };
 
 use crate::confidence::{estimate_avg_with_error, AvgEstimate};
 use crate::error::CvError;
 use crate::estimate::estimate_with;
-use crate::framework::{budget_for_rows, note_draw_avoided, CvOptOutcome, CvOptPlan, CvOptSampler};
-use crate::maintain::{LocalCatalog, MaintainedSample};
-use crate::sample::MaterializedSample;
+use crate::framework::{
+    budget_for_rows, note_draw, note_draw_avoided, CvOptOutcome, CvOptPlan, CvOptSampler,
+};
+use crate::maintain::MaintainedSample;
+use crate::sample::{MaterializedSample, StratifiedSample};
 use crate::spec::{AggColumn, Fingerprinter, QuerySpec, SamplingProblem};
+use crate::stats;
 use crate::Result;
 
 /// A catalog entry: one contiguous table, a locally sharded one, or a set
@@ -75,6 +79,10 @@ use crate::Result;
 /// mixed). All kinds answer every query identically — scatter-gather passes
 /// are byte-identical to their single-table counterparts — so the choice is
 /// purely a deployment concern (ingest layout, which box owns the rows).
+///
+/// [`Engine::register`] takes anything that converts into a
+/// `CatalogTable`: a bare [`Table`], [`ShardedTable`], or [`ShardSet`]
+/// picks its kind through the `From` impls.
 #[derive(Debug, Clone)]
 pub enum CatalogTable {
     /// One contiguous in-memory table.
@@ -89,7 +97,34 @@ pub enum CatalogTable {
     Remote(ShardSet),
 }
 
+impl From<Table> for CatalogTable {
+    fn from(table: Table) -> Self {
+        CatalogTable::Single(table)
+    }
+}
+
+impl From<ShardedTable> for CatalogTable {
+    fn from(table: ShardedTable) -> Self {
+        CatalogTable::Sharded(table)
+    }
+}
+
+impl From<ShardSet> for CatalogTable {
+    fn from(set: ShardSet) -> Self {
+        CatalogTable::Remote(set)
+    }
+}
+
 impl CatalogTable {
+    /// The table's schema (shared by every shard).
+    pub fn schema(&self) -> &Schema {
+        match self {
+            CatalogTable::Single(t) => t.schema(),
+            CatalogTable::Sharded(t) => t.schema(),
+            CatalogTable::Remote(s) => s.schema(),
+        }
+    }
+
     /// Total logical rows.
     pub fn num_rows(&self) -> usize {
         match self {
@@ -97,6 +132,22 @@ impl CatalogTable {
             CatalogTable::Sharded(t) => t.num_rows(),
             CatalogTable::Remote(s) => s.num_rows(),
         }
+    }
+
+    /// Per-shard row counts for sharded and remote entries, `None` for
+    /// single tables.
+    fn shard_rows(&self) -> Option<Vec<usize>> {
+        match self {
+            CatalogTable::Single(_) => None,
+            CatalogTable::Sharded(t) => Some(t.shard_rows()),
+            CatalogTable::Remote(s) => Some(s.shard_rows()),
+        }
+    }
+
+    /// Per-shard partition counts (the `/explain` topology), `None` for
+    /// single tables.
+    fn shard_partitions(&self) -> Option<Vec<usize>> {
+        self.shard_rows().map(|rows| rows.iter().map(|&r| partition_rows(r).len()).collect())
     }
 
     /// Shard count for sharded and remote entries, `None` for single
@@ -133,11 +184,7 @@ impl CatalogTable {
     /// with different shard layouts fold the same problem to different
     /// keys, so the reuse planner can never match across layouts.
     pub fn layout_fingerprint(&self, base: u64) -> u64 {
-        let shard_rows = match self {
-            CatalogTable::Single(_) => return base,
-            CatalogTable::Sharded(t) => t.shard_rows(),
-            CatalogTable::Remote(s) => s.shard_rows(),
-        };
+        let Some(shard_rows) = self.shard_rows() else { return base };
         let mut fp = Fingerprinter::new();
         fp.write_tag(b'S');
         fp.write_u64(base);
@@ -147,38 +194,62 @@ impl CatalogTable {
         }
         fp.finish()
     }
-}
 
-/// What [`Engine::register`] registers: a builder-style source for one
-/// catalog entry. The three variants correspond one-to-one with
-/// [`CatalogTable`] kinds; `From` impls let callers pass a bare [`Table`],
-/// [`ShardedTable`], or [`ShardSet`] and have the kind inferred.
-#[derive(Debug, Clone)]
-pub enum TableSource {
-    /// One contiguous in-memory table.
-    Local(Table),
-    /// A table split across local shards (scatter-gather passes).
-    Sharded(ShardedTable),
-    /// A table whose shards answer through shard readers, possibly over
-    /// the wire.
-    Remote(ShardSet),
-}
-
-impl From<Table> for TableSource {
-    fn from(table: Table) -> Self {
-        TableSource::Local(table)
+    /// The group index over `exprs`, built by the layout's own scatter
+    /// pass; every layout yields the concatenated table's index.
+    pub(crate) fn build_index(
+        &self,
+        exprs: &[ScalarExpr],
+        exec: &ExecOptions,
+    ) -> Result<GroupIndex> {
+        Ok(match self {
+            CatalogTable::Single(t) => GroupIndex::build_with(t, exprs, exec)?,
+            CatalogTable::Sharded(t) => GroupIndex::build_sharded(t, exprs, exec)?,
+            CatalogTable::Remote(s) => s.build_group_index(exprs, exec)?,
+        })
     }
-}
 
-impl From<ShardedTable> for TableSource {
-    fn from(table: ShardedTable) -> Self {
-        TableSource::Sharded(table)
+    /// Statistics partials for the global partitions `from_partition..`
+    /// (see [`stats::tail_partials`]). Remote tables are never maintained:
+    /// they cannot declare a window, so they never reach here.
+    pub(crate) fn tail_partials(
+        &self,
+        index: &GroupIndex,
+        columns: &[ScalarExpr],
+        exec: &ExecOptions,
+        from_partition: usize,
+    ) -> Result<Vec<Vec<Vec<AggState>>>> {
+        match self {
+            CatalogTable::Single(t) => {
+                stats::tail_partials(t, index, columns, exec, from_partition)
+            }
+            CatalogTable::Sharded(t) => {
+                stats::tail_partials_sharded(t, index, columns, exec, from_partition)
+            }
+            CatalogTable::Remote(_) => Err(CvError::invalid(
+                "remote tables are not maintained incrementally; their rows live at the shard \
+                 servers",
+            )),
+        }
     }
-}
 
-impl From<ShardSet> for TableSource {
-    fn from(set: ShardSet) -> Self {
-        TableSource::Remote(set)
+    /// Draw on the (global) group index and materialize from this layout —
+    /// the pass a fresh [`CvOptSampler`] preparation runs.
+    pub(crate) fn draw(
+        &self,
+        index: &GroupIndex,
+        allocation: &[u64],
+        seed: u64,
+        exec: &ExecOptions,
+    ) -> Result<MaterializedSample> {
+        assert_eq!(index.num_rows(), self.num_rows(), "index must cover the table's rows");
+        note_draw();
+        let drawn = StratifiedSample::draw(index, allocation, seed, exec);
+        Ok(match self {
+            CatalogTable::Single(t) => drawn.materialize(t),
+            CatalogTable::Sharded(t) => drawn.materialize_sharded(t),
+            CatalogTable::Remote(s) => drawn.materialize_set(s)?,
+        })
     }
 }
 
@@ -861,26 +932,32 @@ impl Engine {
         self.windows.get(&name.to_ascii_lowercase()).map(String::as_str)
     }
 
-    /// Register (or replace) a catalog table from any [`TableSource`].
-    /// SQL `FROM` names resolve to it case-insensitively.
+    /// Register (or replace) a catalog table from anything that converts
+    /// into a [`CatalogTable`]. SQL `FROM` names resolve to it
+    /// case-insensitively.
     ///
     /// A bare [`Table`], [`ShardedTable`], or [`ShardSet`] converts
-    /// implicitly; `TableSource::{Local, Sharded, Remote}` spells the kind
-    /// out. All kinds answer every query byte-identically — the choice is
-    /// purely a deployment concern — and cache keys fold in the shard
-    /// layout, so re-registering under a new layout can never serve a plan
-    /// report describing the old one.
+    /// implicitly. All kinds answer every query byte-identically — the
+    /// choice is purely a deployment concern — and cache keys fold in the
+    /// shard layout, so re-registering under a new layout can never serve a
+    /// plan report describing the old one.
     pub fn register(
         &mut self,
         name: impl Into<String>,
-        source: impl Into<TableSource>,
+        table: impl Into<CatalogTable>,
     ) -> &mut Self {
-        let table = match source.into() {
-            TableSource::Local(t) => CatalogTable::Single(t),
-            TableSource::Sharded(t) => CatalogTable::Sharded(t),
-            TableSource::Remote(s) => CatalogTable::Remote(s),
-        };
-        self.register_catalog_table(name, table)
+        let name = name.into();
+        let key = name.to_ascii_lowercase();
+        // Samples drawn from a replaced table are stale, and so are logged
+        // workload shapes (their budgets tracked the old row count).
+        // `&mut self` guarantees no query (and so no pending run) is in
+        // flight.
+        self.forget_table_samples(&key);
+        self.query_log.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
+        self.windows.remove(&key);
+        self.maintained.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
+        self.tables.insert(key, (name, table.into()));
+        self
     }
 
     /// Register (or replace) a catalog table that **ingests**: `window`
@@ -898,21 +975,17 @@ impl Engine {
     pub fn register_windowed(
         &mut self,
         name: impl Into<String>,
-        source: impl Into<TableSource>,
+        table: impl Into<CatalogTable>,
         window: &str,
     ) -> Result<&mut Self> {
-        let source = source.into();
-        let schema = match &source {
-            TableSource::Local(t) => t.schema(),
-            TableSource::Sharded(t) => t.schema(),
-            TableSource::Remote(_) => {
-                return Err(CvError::invalid(
-                    "remote shard sets cannot declare a window column; retention runs at the \
-                     shard servers",
-                ))
-            }
-        };
-        let dtype = schema.type_of(window)?;
+        let table = table.into();
+        if let CatalogTable::Remote(_) = table {
+            return Err(CvError::invalid(
+                "remote shard sets cannot declare a window column; retention runs at the \
+                 shard servers",
+            ));
+        }
+        let dtype = table.schema().type_of(window)?;
         if !matches!(dtype, cvopt_table::DataType::Int64 | cvopt_table::DataType::Timestamp) {
             return Err(CvError::invalid(format!(
                 "window column '{window}' must be INT64 or TIMESTAMP, found {dtype:?}"
@@ -920,59 +993,9 @@ impl Engine {
         }
         let name = name.into();
         let key = name.to_ascii_lowercase();
-        self.register(name, source);
+        self.register(name, table);
         self.windows.insert(key, window.to_string());
         Ok(self)
-    }
-
-    /// Register (or replace) a catalog table.
-    #[deprecated(
-        note = "use `Engine::register(name, table)`; a `Table` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> &mut Self {
-        self.register(name, table)
-    }
-
-    /// Register (or replace) a sharded catalog table.
-    #[deprecated(
-        note = "use `Engine::register(name, table)`; a `ShardedTable` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_sharded_table(
-        &mut self,
-        name: impl Into<String>,
-        table: ShardedTable,
-    ) -> &mut Self {
-        self.register(name, table)
-    }
-
-    /// Register (or replace) a table whose shards answer through
-    /// [`ShardReader`]s.
-    ///
-    /// [`ShardReader`]: cvopt_table::ShardReader
-    #[deprecated(
-        note = "use `Engine::register(name, set)`; a `ShardSet` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_remote_table(&mut self, name: impl Into<String>, set: ShardSet) -> &mut Self {
-        self.register(name, set)
-    }
-
-    fn register_catalog_table(
-        &mut self,
-        name: impl Into<String>,
-        table: CatalogTable,
-    ) -> &mut Self {
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
-        // Samples drawn from a replaced table are stale, and so are logged
-        // workload shapes (their budgets tracked the old row count).
-        // `&mut self` guarantees no query (and so no pending run) is in
-        // flight.
-        self.forget_table_samples(&key);
-        self.query_log.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.windows.remove(&key);
-        self.maintained.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.tables.insert(key, (name, table));
-        self
     }
 
     /// Remove a table, every sample prepared from it, and its query log.
@@ -1083,22 +1106,17 @@ impl Engine {
     /// stale. Returns how many maintained samples survive.
     fn update_maintained(&mut self, key: &str, batch: Option<&Table>) -> usize {
         let Some((_, base)) = self.tables.get(key) else { return 0 };
-        let catalog = match base {
-            CatalogTable::Single(t) => LocalCatalog::Single(t),
-            CatalogTable::Sharded(t) => LocalCatalog::Sharded(t),
-            CatalogTable::Remote(_) => return 0,
-        };
         let seed = self.seed;
         let exec = self.exec;
         let maintained_map = self.maintained.get_mut().unwrap_or_else(|e| e.into_inner());
         let Some(entries) = maintained_map.get_mut(key) else { return 0 };
         let mut rebuilds = 0u64;
         entries.retain_mut(|m| match batch {
-            Some(b) => m.apply_append(catalog, b, seed, &exec).is_ok(),
+            Some(b) => m.apply_append(base, b, seed, &exec).is_ok(),
             // A rebuild re-scans the retained rows — a full statistics
             // pass, and the engine's gauge must say so.
             None => {
-                let ok = m.rebuild(catalog, seed, &exec).is_ok();
+                let ok = m.rebuild(base, seed, &exec).is_ok();
                 rebuilds += ok as u64;
                 ok
             }
@@ -1492,24 +1510,17 @@ impl Engine {
         durable: bool,
     ) -> Result<Arc<CvOptOutcome>> {
         if durable && self.windows.contains_key(table_key) {
-            let catalog = match base {
-                CatalogTable::Single(t) => Some(LocalCatalog::Single(t)),
-                CatalogTable::Sharded(t) => Some(LocalCatalog::Sharded(t)),
-                CatalogTable::Remote(_) => None,
-            };
-            if let Some(catalog) = catalog {
-                let m = MaintainedSample::build(problem.clone(), catalog, self.seed, &self.exec)?;
-                self.stats_passes.fetch_add(1, Ordering::Relaxed);
-                let outcome = Arc::clone(m.outcome());
-                let mut maintained = self.maintained.write().unwrap_or_else(|e| e.into_inner());
-                let entries = maintained.entry(table_key.to_string()).or_default();
-                entries.retain(|e| e.problem() != problem);
-                entries.push(m);
-                if entries.len() > MAINTAINED_CAP {
-                    entries.remove(0);
-                }
-                return Ok(outcome);
+            let m = MaintainedSample::build(problem.clone(), base, self.seed, &self.exec)?;
+            self.stats_passes.fetch_add(1, Ordering::Relaxed);
+            let outcome = Arc::clone(m.outcome());
+            let mut maintained = self.maintained.write().unwrap_or_else(|e| e.into_inner());
+            let entries = maintained.entry(table_key.to_string()).or_default();
+            entries.retain(|e| e.problem() != problem);
+            entries.push(m);
+            if entries.len() > MAINTAINED_CAP {
+                entries.remove(0);
             }
+            return Ok(outcome);
         }
         self.sample_uncached(base, problem)
     }
@@ -1806,15 +1817,7 @@ impl Engine {
                 }
             }
         };
-        let shard_partitions = match base {
-            CatalogTable::Single(_) => None,
-            CatalogTable::Sharded(t) => {
-                Some(t.shards().iter().map(|s| partition_rows(s.num_rows()).len()).collect())
-            }
-            CatalogTable::Remote(s) => {
-                Some(s.shard_rows().iter().map(|&rows| partition_rows(rows).len()).collect())
-            }
-        };
+        let shard_partitions = base.shard_partitions();
         let (strategy, group_by_reason) = Self::plan_group_strategy(base, &query.group_by);
         let mut report = ExplainReport {
             table: catalog_name.to_string(),
@@ -1961,12 +1964,7 @@ impl Engine {
             choose_strategy(fact.num_rows(), None)
         };
         let table_rows = fact.num_rows();
-        let shard_partitions = match fact {
-            CatalogTable::Single(_) | CatalogTable::Remote(_) => None,
-            CatalogTable::Sharded(t) => {
-                Some(t.shards().iter().map(|s| partition_rows(s.num_rows()).len()).collect())
-            }
-        };
+        let shard_partitions = fact.shard_partitions();
         let report = ExplainReport {
             table: fact_name.to_string(),
             table_rows,
@@ -2995,17 +2993,5 @@ mod tests {
         // Re-registering without a window clears the declaration.
         e.register("t", ts_table(0, 10));
         assert_eq!(e.window_column("t"), None);
-    }
-
-    #[test]
-    fn deprecated_registration_shims_still_work() {
-        #![allow(deprecated)]
-        let t = table(500);
-        let mut e = Engine::new();
-        e.register_table("a", t.clone());
-        e.register_sharded_table("b", ShardedTable::split(&t, 2).unwrap());
-        assert_eq!(e.table_names(), vec!["a", "b"]);
-        assert!(e.table("a").is_some());
-        assert!(e.sharded_table("b").is_some());
     }
 }

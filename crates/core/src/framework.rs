@@ -165,39 +165,18 @@ impl CvOptSampler {
         Ok(CvOptOutcome { sample, plan })
     }
 
-    /// [`CvOptSampler::plan`] over a [`ShardedTable`]: the group index and
-    /// the statistics pass run shard-parallel; the plan is bit-identical to
-    /// planning over the concatenated table.
-    pub fn plan_sharded(&self, table: &ShardedTable) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index_sharded(table)?;
-        Ok(plan)
-    }
-
-    /// [`CvOptSampler::sample`] over a [`ShardedTable`]: every pass —
-    /// index build, statistics, the stratified draw, materialization — is
-    /// scatter-gather across the shards, and the outcome (plan, sampled
-    /// rows, weights) is **byte-identical to sampling the concatenated
-    /// table with the same seed**, for any shard layout and thread count.
+    /// [`CvOptSampler::sample`] over a [`ShardedTable`]: the index build,
+    /// the statistics pass, and materialization are scatter-gather across
+    /// the shards, and the draw runs on the (global) sharded group index,
+    /// so the outcome (plan, sampled rows, weights) is **byte-identical to
+    /// sampling the concatenated table with the same seed**, for any shard
+    /// layout and thread count.
     pub fn sample_sharded(&self, table: &ShardedTable) -> Result<CvOptOutcome> {
         let (index, plan) = self.plan_with_index_sharded(table)?;
         TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn = StratifiedSample::draw_sharded(
-            &index,
-            table,
-            &plan.allocation.sizes,
-            self.seed,
-            &self.exec,
-        );
+        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
         let sample = drawn.materialize_sharded(table);
         Ok(CvOptOutcome { sample, plan })
-    }
-
-    /// [`CvOptSampler::plan_sharded`] over a [`ShardSet`] (shards local or
-    /// remote): the plan is bit-identical to planning over a local sharded
-    /// table with the same layout.
-    pub fn plan_set(&self, set: &ShardSet) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index_set(set)?;
-        Ok(plan)
     }
 
     /// [`CvOptSampler::sample_sharded`] over a [`ShardSet`]: the scatter
@@ -209,8 +188,7 @@ impl CvOptSampler {
     pub fn sample_set(&self, set: &ShardSet) -> Result<CvOptOutcome> {
         let (index, plan) = self.plan_with_index_set(set)?;
         TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn =
-            StratifiedSample::draw_set(&index, set, &plan.allocation.sizes, self.seed, &self.exec);
+        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
         let sample = drawn.materialize_set(set)?;
         Ok(CvOptOutcome { sample, plan })
     }

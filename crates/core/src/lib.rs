@@ -85,7 +85,6 @@ pub use cvopt_table::{LocalShard, ShardReader, ShardSet, ShardedTable};
 pub use engine::{
     problem_for_query, AggConfidence, CatalogTable, Engine, ExplainReport, IngestReport,
     QueryAnswer, QueryLogEntry, QueryMode, ReoptimizeReport, ReuseInfo, RotateReport, SampleHandle,
-    TableSource,
 };
 pub use error::CvError;
 pub use framework::{

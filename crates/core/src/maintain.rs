@@ -37,93 +37,19 @@
 //! of the creation state and the *current* row count — never of the batch
 //! history — which keeps replayed ingest logs byte-identical for any batch
 //! split.
-//!
-//! Each maintained sample additionally feeds appended rows through a
-//! [`StreamingSampler`] — a per-stratum reservoir sketch of the live stream
-//! (`stream_held` / `arrivals` surface as ingest telemetry). The sketch
-//! never enters the served outcome: served bytes come from the maintained
-//! two-pass sample above, which is what makes them provably equal to a
-//! from-scratch preparation.
 
 use std::sync::Arc;
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
-use cvopt_table::{GroupIndex, ScalarExpr, ShardedTable, Table};
+use cvopt_table::{GroupIndex, ScalarExpr, Table};
 
+use crate::engine::CatalogTable;
 use crate::error::CvError;
-use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
-use crate::sample::StratifiedSample;
+use crate::framework::{CvOptOutcome, CvOptSampler};
 use crate::spec::SamplingProblem;
 use crate::stats::{self, StratumStatistics};
-use crate::stream::{StreamingConfig, StreamingSampler};
 use crate::Result;
-
-/// A borrowed view of a local catalog table (single or sharded) — the
-/// layouts whose rows live in this process and can therefore be maintained
-/// incrementally. Remote catalogs append at their shard server and are
-/// invalidation-only.
-#[derive(Clone, Copy)]
-pub(crate) enum LocalCatalog<'a> {
-    /// One local table.
-    Single(&'a Table),
-    /// A local sharded layout.
-    Sharded(&'a ShardedTable),
-}
-
-impl LocalCatalog<'_> {
-    fn num_rows(&self) -> usize {
-        match self {
-            LocalCatalog::Single(t) => t.num_rows(),
-            LocalCatalog::Sharded(t) => t.num_rows(),
-        }
-    }
-
-    fn build_index(&self, exprs: &[ScalarExpr], exec: &ExecOptions) -> Result<GroupIndex> {
-        Ok(match self {
-            LocalCatalog::Single(t) => GroupIndex::build_with(t, exprs, exec)?,
-            LocalCatalog::Sharded(t) => GroupIndex::build_sharded(t, exprs, exec)?,
-        })
-    }
-
-    fn tail_partials(
-        &self,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        exec: &ExecOptions,
-        from_partition: usize,
-    ) -> Result<Vec<Vec<Vec<AggState>>>> {
-        match self {
-            LocalCatalog::Single(t) => {
-                stats::tail_partials(t, index, columns, exec, from_partition)
-            }
-            LocalCatalog::Sharded(t) => {
-                stats::tail_partials_sharded(t, index, columns, exec, from_partition)
-            }
-        }
-    }
-
-    /// Draw + materialize through the exact pass a fresh
-    /// [`CvOptSampler::sample`]/[`CvOptSampler::sample_sharded`] runs.
-    fn draw(
-        &self,
-        index: &GroupIndex,
-        allocation: &[u64],
-        seed: u64,
-        exec: &ExecOptions,
-    ) -> crate::sample::MaterializedSample {
-        note_draw();
-        match self {
-            LocalCatalog::Single(t) => {
-                StratifiedSample::draw(index, allocation, seed, exec).materialize(t)
-            }
-            LocalCatalog::Sharded(t) => {
-                StratifiedSample::draw_sharded(index, t, allocation, seed, exec)
-                    .materialize_sharded(t)
-            }
-        }
-    }
-}
 
 /// One durable prepared sample kept incrementally up to date under append
 /// (see the module docs for the maintenance contract).
@@ -142,8 +68,6 @@ pub(crate) struct MaintainedSample {
     partials: Vec<Vec<Vec<AggState>>>,
     /// The maintained outcome — always equal to a fresh preparation.
     outcome: Arc<CvOptOutcome>,
-    /// Live per-stratum reservoir sketch of the appended stream (telemetry).
-    sketch: StreamingSampler,
 }
 
 impl MaintainedSample {
@@ -153,7 +77,7 @@ impl MaintainedSample {
     /// statistics pass and one draw, exactly like the fresh path.
     pub(crate) fn build(
         problem: SamplingProblem,
-        catalog: LocalCatalog<'_>,
+        catalog: &CatalogTable,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<MaintainedSample> {
@@ -166,11 +90,7 @@ impl MaintainedSample {
         let stats = StratumStatistics::from_partials(&index, &columns, &partials);
         let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(strata_exprs.clone(), &index, stats)?;
-        let sample = catalog.draw(&index, &plan.allocation.sizes, seed, exec);
-        let sketch = StreamingSampler::new(
-            columns.len().max(1),
-            StreamingConfig { budget: problem.budget.max(1), seed, ..Default::default() },
-        );
+        let sample = catalog.draw(&index, &plan.allocation.sizes, seed, exec)?;
         Ok(MaintainedSample {
             base_budget: problem.budget,
             base_rows: catalog.num_rows(),
@@ -179,7 +99,6 @@ impl MaintainedSample {
             index,
             partials,
             outcome: Arc::new(CvOptOutcome { sample, plan }),
-            sketch,
         })
     }
 
@@ -191,12 +110,6 @@ impl MaintainedSample {
     /// The maintained outcome.
     pub(crate) fn outcome(&self) -> &Arc<CvOptOutcome> {
         &self.outcome
-    }
-
-    /// Rows held by the live stream sketch.
-    #[cfg(test)]
-    pub(crate) fn sketch_held(&self) -> usize {
-        self.sketch.held()
     }
 
     /// The creation-time rate projected onto `rows` table rows: a pure
@@ -217,7 +130,7 @@ impl MaintainedSample {
     /// fresh preparation over `catalog`.
     pub(crate) fn apply_append(
         &mut self,
-        catalog: LocalCatalog<'_>,
+        catalog: &CatalogTable,
         batch: &Table,
         seed: u64,
         exec: &ExecOptions,
@@ -237,7 +150,6 @@ impl MaintainedSample {
         // Batch-local index, merged in row order: identical to rebuilding
         // over the extended table.
         let batch_index = GroupIndex::build_with(batch, &self.strata_exprs, exec)?;
-        self.offer_to_sketch(batch, &batch_index, old_rows)?;
         let merged = GroupIndex::merge_locals(&[self.index.clone(), batch_index])?;
 
         // Replay clean partials, rescan the dirty tail. Partition
@@ -260,7 +172,7 @@ impl MaintainedSample {
         self.problem.budget = self.scaled_budget(new_rows);
         let sampler = CvOptSampler::new(self.problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(self.strata_exprs.clone(), &merged, stats)?;
-        let sample = catalog.draw(&merged, &plan.allocation.sizes, seed, exec);
+        let sample = catalog.draw(&merged, &plan.allocation.sizes, seed, exec)?;
         self.outcome = Arc::new(CvOptOutcome { sample, plan });
         self.index = merged;
         Ok(())
@@ -271,7 +183,7 @@ impl MaintainedSample {
     /// statistics pass; the budget rescales to the surviving row count.
     pub(crate) fn rebuild(
         &mut self,
-        catalog: LocalCatalog<'_>,
+        catalog: &CatalogTable,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<()> {
@@ -280,34 +192,7 @@ impl MaintainedSample {
         let mut fresh = MaintainedSample::build(problem, catalog, seed, exec)?;
         fresh.base_budget = self.base_budget;
         fresh.base_rows = self.base_rows;
-        std::mem::swap(self, &mut fresh);
-        self.sketch = std::mem::replace(&mut fresh.sketch, Self::placeholder_sketch(seed));
-        Ok(())
-    }
-
-    fn placeholder_sketch(seed: u64) -> StreamingSampler {
-        StreamingSampler::new(1, StreamingConfig { seed, ..Default::default() })
-    }
-
-    /// Feed the batch rows to the live reservoir sketch (telemetry only;
-    /// deterministic in row order, so batch splits do not change it).
-    fn offer_to_sketch(
-        &mut self,
-        batch: &Table,
-        batch_index: &GroupIndex,
-        global_offset: usize,
-    ) -> Result<()> {
-        let columns = self.problem.aggregate_columns();
-        let bound: Vec<_> =
-            columns.iter().map(|c| c.bind(batch)).collect::<std::result::Result<_, _>>()?;
-        let mut values = vec![0.0f64; columns.len().max(1)];
-        for row in 0..batch.num_rows() {
-            for (slot, expr) in values.iter_mut().zip(&bound) {
-                *slot = expr.f64_at(row).unwrap_or(0.0);
-            }
-            let gid = batch_index.group_of(row);
-            self.sketch.offer(batch_index.key(gid), &values, (global_offset + row) as u32);
-        }
+        *self = fresh;
         Ok(())
     }
 }
@@ -316,7 +201,7 @@ impl MaintainedSample {
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
-    use cvopt_table::{DataType, TableBuilder, Value};
+    use cvopt_table::{DataType, ShardedTable, TableBuilder, Value};
 
     fn row_stream(n: usize) -> Vec<Vec<Value>> {
         (0..n)
@@ -370,14 +255,19 @@ mod tests {
         let exec = ExecOptions::new(2);
         let base = table_of(&rows[..1000]);
         for splits in [vec![1000, 3000], vec![1000, 1500, 2200, 3000], vec![1000, 1001, 3000]] {
-            let mut m =
-                MaintainedSample::build(problem(50), LocalCatalog::Single(&base), seed, &exec)
-                    .unwrap();
+            let mut m = MaintainedSample::build(
+                problem(50),
+                &CatalogTable::Single(base.clone()),
+                seed,
+                &exec,
+            )
+            .unwrap();
             let mut current = base.clone();
             for window in splits.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+                m.apply_append(&CatalogTable::Single(current.clone()), &batch, seed, &exec)
+                    .unwrap();
             }
             let fresh = CvOptSampler::new(m.problem().clone())
                 .with_seed(seed)
@@ -397,13 +287,14 @@ mod tests {
         let seed = 4;
         let exec = ExecOptions::new(3);
         let base = ShardedTable::split(&table_of(&rows[..1800]), 3).unwrap();
-        let mut m = MaintainedSample::build(problem(90), LocalCatalog::Sharded(&base), seed, &exec)
-            .unwrap();
+        let mut m =
+            MaintainedSample::build(problem(90), &CatalogTable::Sharded(base.clone()), seed, &exec)
+                .unwrap();
         let mut current = base;
         for bounds in [(1800, 2000), (2000, 2400)] {
             let batch = table_of(&rows[bounds.0..bounds.1]);
             current = current.extended(&batch).unwrap();
-            m.apply_append(LocalCatalog::Sharded(&current), &batch, seed, &exec).unwrap();
+            m.apply_append(&CatalogTable::Sharded(current.clone()), &batch, seed, &exec).unwrap();
         }
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)
@@ -411,7 +302,6 @@ mod tests {
             .sample_sharded(&current)
             .unwrap();
         assert_outcomes_equal(m.outcome(), &fresh, "sharded append");
-        assert!(m.sketch_held() > 0, "sketch saw the appended rows");
     }
 
     /// Appends that introduce brand-new strata pad cached partials
@@ -423,7 +313,8 @@ mod tests {
         let exec = ExecOptions::sequential();
         let base = table_of(&base_rows);
         let mut m =
-            MaintainedSample::build(problem(40), LocalCatalog::Single(&base), seed, &exec).unwrap();
+            MaintainedSample::build(problem(40), &CatalogTable::Single(base.clone()), seed, &exec)
+                .unwrap();
         // A batch whose group key was never seen before.
         let mut b = TableBuilder::new(&schema());
         for i in 0..200usize {
@@ -436,7 +327,7 @@ mod tests {
         }
         let batch = b.finish();
         let current = base.extended(&batch).unwrap();
-        m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+        m.apply_append(&CatalogTable::Single(current.clone()), &batch, seed, &exec).unwrap();
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)
             .with_exec(exec)
@@ -467,7 +358,7 @@ mod tests {
             bounds.dedup();
             let mut m = MaintainedSample::build(
                 problem(30),
-                LocalCatalog::Single(&base),
+                &CatalogTable::Single(base.clone()),
                 seed,
                 &exec,
             )
@@ -476,7 +367,7 @@ mod tests {
             for window in bounds.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+                m.apply_append(&CatalogTable::Single(current.clone()), &batch, seed, &exec).unwrap();
             }
             let fresh = CvOptSampler::new(m.problem().clone())
                 .with_seed(seed)
@@ -502,10 +393,11 @@ mod tests {
         let seed = 1;
         let exec = ExecOptions::sequential();
         let base = table_of(&rows);
-        let mut m = MaintainedSample::build(problem(100), LocalCatalog::Single(&base), seed, &exec)
-            .unwrap();
+        let mut m =
+            MaintainedSample::build(problem(100), &CatalogTable::Single(base.clone()), seed, &exec)
+                .unwrap();
         let kept = table_of(&rows[600..]);
-        m.rebuild(LocalCatalog::Single(&kept), seed, &exec).unwrap();
+        m.rebuild(&CatalogTable::Single(kept.clone()), seed, &exec).unwrap();
         assert_eq!(m.problem().budget, 40, "10% of the surviving 400 rows");
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)

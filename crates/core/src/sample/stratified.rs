@@ -12,7 +12,7 @@
 //! `(seed, stratum)`, making the drawn sample byte-identical for any
 //! thread count.
 
-use cvopt_table::exec::{self, BucketedRows, ExecOptions};
+use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::{GroupIndex, KeyAtom, ShardSet, ShardedTable, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,6 +69,12 @@ impl StratifiedSample {
     /// Strata are drawn in parallel per `options`, each from its own
     /// `seed`-derived RNG substream; the result depends only on
     /// `(index, allocation, seed)`, never on the thread count.
+    ///
+    /// Every table layout draws through here. A sharded or remote layout's
+    /// group index ([`GroupIndex::build_sharded`],
+    /// [`ShardSet::build_group_index`]) is already global — identical to
+    /// the concatenated table's — so the drawn sample is **byte-identical
+    /// to the unsharded draw** for any shard layout and thread count.
     pub fn draw(
         index: &GroupIndex,
         allocation: &[u64],
@@ -80,64 +86,6 @@ impl StratifiedSample {
         // output is byte-identical to a sequential stable counting sort,
         // so each bucket holds its rows in ascending row order.
         let bucketed = exec::bucket_rows(index.row_groups(), index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// [`StratifiedSample::draw`] over a [`ShardedTable`]'s group index
-    /// (built with [`GroupIndex::build_sharded`]): rows are bucketed by the
-    /// sharded two-phase scatter ([`cvopt_table::exec::bucket_rows_sharded`]
-    /// — a per-shard histogram level above the per-partition one), which is
-    /// byte-identical to bucketing the concatenated ids. The reservoirs
-    /// then depend only on `(seed, stratum)`, so the drawn sample is
-    /// **byte-identical to the unsharded draw** for any shard layout and
-    /// thread count.
-    pub fn draw_sharded(
-        index: &GroupIndex,
-        table: &ShardedTable,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
-        assert_eq!(index.num_rows(), table.num_rows(), "index must cover the sharded rows");
-        let gids = index.row_groups();
-        let offsets = table.offsets();
-        let shard_slices: Vec<&[u32]> =
-            (0..table.num_shards()).map(|s| &gids[offsets[s]..offsets[s + 1]]).collect();
-        let bucketed = exec::bucket_rows_sharded(&shard_slices, index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// [`StratifiedSample::draw_sharded`] over a [`ShardSet`] (shards local
-    /// or remote): identical slicing of the group ids by the set's offsets,
-    /// identical sharded two-phase scatter, identical substream reservoirs
-    /// — so the drawn sample is **byte-identical to the unsharded draw**
-    /// for any shard layout and thread count.
-    pub fn draw_set(
-        index: &GroupIndex,
-        set: &ShardSet,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
-        assert_eq!(index.num_rows(), set.num_rows(), "index must cover the shard set's rows");
-        let gids = index.row_groups();
-        let offsets = set.offsets();
-        let shard_slices: Vec<&[u32]> =
-            (0..set.num_shards()).map(|s| &gids[offsets[s]..offsets[s + 1]]).collect();
-        let bucketed = exec::bucket_rows_sharded(&shard_slices, index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// The shared reservoir pass behind [`StratifiedSample::draw`] and
-    /// [`StratifiedSample::draw_sharded`]: one reservoir per stratum over
-    /// its (row-ascending) bucket, each on its own seed-derived substream.
-    fn draw_bucketed(
-        index: &GroupIndex,
-        bucketed: &BucketedRows,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
         assert_eq!(allocation.len(), index.num_groups(), "allocation must cover every stratum");
         let num_groups = index.num_groups();
         let rows_per_stratum = exec::run_indexed(num_groups, options, |c| {
@@ -322,13 +270,8 @@ mod tests {
                 GroupIndex::build_sharded(&st, &[ScalarExpr::col("g")], &ExecOptions::sequential())
                     .unwrap();
             for threads in [1usize, 4] {
-                let got = StratifiedSample::draw_sharded(
-                    &sidx,
-                    &st,
-                    &[25, 5],
-                    9,
-                    &ExecOptions::new(threads),
-                );
+                assert_eq!(sidx.num_rows(), st.num_rows());
+                let got = StratifiedSample::draw(&sidx, &[25, 5], 9, &ExecOptions::new(threads));
                 assert_eq!(
                     got.rows_per_stratum, reference.rows_per_stratum,
                     "shards {num_shards}, threads {threads}"

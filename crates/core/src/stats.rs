@@ -15,8 +15,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
+use cvopt_table::expr::BoundExpr;
 use cvopt_table::groupby::GroupProjection;
-use cvopt_table::{ColumnValues, GroupIndex, ScalarExpr, ShardSet, ShardedTable, Table};
+use cvopt_table::{
+    ColumnValues, GroupIndex, ScalarExpr, ShardColumn, ShardSegment, ShardSet, ShardedTable, Table,
+};
 
 use crate::spec::VarianceKind;
 use crate::Result;
@@ -51,7 +54,7 @@ pub(crate) fn record_pass() {
 /// range) — which is what lets maintenance cache a partition's result and
 /// replay it bit-identically instead of rescanning.
 fn partition_states(
-    bound: &[cvopt_table::expr::BoundExpr<'_>],
+    bound: &[BoundExpr<'_>],
     gids: &[u32],
     num_groups: usize,
     ncols: usize,
@@ -99,40 +102,42 @@ enum Gathered {
     Sparse(Vec<Option<f64>>),
 }
 
-/// The sharded per-partition kernel shared by
-/// [`StratumStatistics::collect_sharded`] and the incremental-maintenance
-/// partial computation: identical to [`partition_states`] except values
-/// gather through the shard segments covering the (global) partition.
-fn partition_states_sharded(
-    table: &ShardedTable,
-    bound: &[Vec<cvopt_table::expr::BoundExpr<'_>>],
-    dense_col: &[bool],
+/// The segmented per-partition kernel behind every multi-shard statistics
+/// pass ([`StratumStatistics::collect_sharded`],
+/// [`StratumStatistics::collect_set`] and [`tail_partials_sharded`]):
+/// identical to [`partition_states`] except values gather through the
+/// shard segments covering the (global) partition. `columns[shard][column]`
+/// reads each shard, whether through bound expressions or shipped values.
+fn partition_states_segmented<C: ShardColumn>(
+    segments: &[ShardSegment],
+    columns: &[Vec<C>],
     gids: &[u32],
     num_groups: usize,
-    ncols: usize,
     range: exec::RowRange,
 ) -> Vec<Vec<AggState>> {
+    let ncols = columns[0].len();
     let mut states = vec![vec![AggState::default(); ncols]; num_groups];
     if range.is_empty() {
         return states;
     }
-    let segments = table.segments(range);
     // Gather each column's values for the whole partition, one contiguous
-    // copy per shard segment.
+    // copy per shard segment. A column gathers densely only when *every*
+    // shard backs it with a dense slice; the choice depends on the schema
+    // alone, so it is the same choice the single-table pass makes.
     let gathered: Vec<Gathered> = (0..ncols)
         .map(|c| {
-            if dense_col[c] {
+            if columns.iter().all(|shard| shard[c].dense().is_some()) {
                 let mut col: Vec<f64> = Vec::with_capacity(range.len());
-                for seg in &segments {
-                    let values = bound[seg.shard][c].f64_slice().expect("dense column");
+                for seg in segments {
+                    let values = columns[seg.shard][c].dense().expect("dense column");
                     col.extend_from_slice(&values[seg.local.start..seg.local.end]);
                 }
                 Gathered::Dense(col)
             } else {
                 let mut col: Vec<Option<f64>> = Vec::with_capacity(range.len());
-                for seg in &segments {
-                    let expr = &bound[seg.shard][c];
-                    col.extend(seg.local.rows().map(|r| expr.f64_at(r)));
+                for seg in segments {
+                    let column = &columns[seg.shard][c];
+                    col.extend(seg.local.rows().map(|r| column.get(r)));
                 }
                 Gathered::Sparse(col)
             }
@@ -162,6 +167,36 @@ fn partition_states_sharded(
     states
 }
 
+/// Every shard's columns bound as local expressions (`[shard][column]`).
+fn bind_shards<'a>(
+    table: &'a ShardedTable,
+    columns: &[ScalarExpr],
+) -> Result<Vec<Vec<BoundExpr<'a>>>> {
+    Ok(table
+        .shards()
+        .iter()
+        .map(|shard| columns.iter().map(|c| c.bind(shard)).collect::<std::result::Result<_, _>>())
+        .collect::<std::result::Result<_, _>>()?)
+}
+
+/// The segmented statistics pass folded in partition order — the body of
+/// both multi-shard collectors.
+fn segmented_states<C: ShardColumn>(
+    num_rows: usize,
+    segments: impl Fn(exec::RowRange) -> Vec<ShardSegment> + Sync,
+    columns: &[Vec<C>],
+    index: &GroupIndex,
+    options: &ExecOptions,
+) -> Vec<Vec<AggState>> {
+    let (gids, num_groups) = (index.row_groups(), index.num_groups());
+    exec::fold_partitioned(
+        num_rows,
+        options,
+        |_, range| partition_states_segmented(&segments(range), columns, gids, num_groups, range),
+        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
+    )
+}
+
 /// Per-partition state tables (`partials[partition][group][column]`) for
 /// the global partitions `from_partition..` of `table`, computed with the
 /// exact [`collect_with`](StratumStatistics::collect_with) kernel. The
@@ -189,9 +224,9 @@ pub(crate) fn tail_partials(
     }))
 }
 
-/// [`tail_partials`] over a [`ShardedTable`] — the same global-partition
-/// kernel as [`collect_sharded`](StratumStatistics::collect_sharded), so a
-/// partial never depends on where shard boundaries fall.
+/// [`tail_partials`] over a [`ShardedTable`]: the same global-partition
+/// segmented kernel as [`collect_sharded`](StratumStatistics::collect_sharded),
+/// so a partial never depends on where shard boundaries fall.
 pub(crate) fn tail_partials_sharded(
     table: &ShardedTable,
     index: &GroupIndex,
@@ -199,21 +234,12 @@ pub(crate) fn tail_partials_sharded(
     options: &ExecOptions,
     from_partition: usize,
 ) -> Result<Vec<Vec<Vec<AggState>>>> {
-    let bound: Vec<Vec<_>> = table
-        .shards()
-        .iter()
-        .map(|shard| columns.iter().map(|c| c.bind(shard)).collect::<std::result::Result<_, _>>())
-        .collect::<std::result::Result<_, _>>()?;
-    let ncols = columns.len();
-    let num_groups = index.num_groups();
-    let gids = index.row_groups();
-    let dense_col: Vec<bool> = (0..ncols)
-        .map(|c| bound.iter().all(|shard_bound: &Vec<_>| shard_bound[c].f64_slice().is_some()))
-        .collect();
+    let bound = bind_shards(table, columns)?;
+    let (gids, num_groups) = (index.row_groups(), index.num_groups());
     let partitions = exec::partition_rows(table.num_rows());
     let tail: Vec<exec::RowRange> = partitions.into_iter().skip(from_partition).collect();
     Ok(exec::run_indexed(tail.len(), options, |i| {
-        partition_states_sharded(table, &bound, &dense_col, gids, num_groups, ncols, tail[i])
+        partition_states_segmented(&table.segments(tail[i]), &bound, gids, num_groups, tail[i])
     }))
 }
 
@@ -310,32 +336,10 @@ impl StratumStatistics {
         columns: &[ScalarExpr],
         options: &ExecOptions,
     ) -> Result<Self> {
-        let bound: Vec<Vec<_>> = table
-            .shards()
-            .iter()
-            .map(|shard| {
-                columns.iter().map(|c| c.bind(shard)).collect::<std::result::Result<_, _>>()
-            })
-            .collect::<std::result::Result<_, _>>()?;
+        let bound = bind_shards(table, columns)?;
         record_pass();
-        let ncols = columns.len();
-        let num_groups = index.num_groups();
-        let gids = index.row_groups();
-        // A column gathers densely only when *every* shard backs it with a
-        // dense slice; the choice depends on the schema alone, so it is the
-        // same choice the single-table pass makes.
-        let dense_col: Vec<bool> = (0..ncols)
-            .map(|c| bound.iter().all(|shard_bound: &Vec<_>| shard_bound[c].f64_slice().is_some()))
-            .collect();
-
-        let states = exec::fold_partitioned(
-            table.num_rows(),
-            options,
-            |_, range| {
-                partition_states_sharded(table, &bound, &dense_col, gids, num_groups, ncols, range)
-            },
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-        );
+        let segments = |range| table.segments(range);
+        let states = segmented_states(table.num_rows(), segments, &bound, index, options);
         Ok(Self::from_states(index, columns, states))
     }
 
@@ -345,10 +349,9 @@ impl StratumStatistics {
     /// One `expr_values` request per shard fetches every column's per-row
     /// values (dense `f64` buffers exactly when the shard-side expression
     /// exposes a slice — a schema-only property, so every shard agrees with
-    /// the single-table pass); the partition kernel then gathers from the
-    /// fetched buffers instead of bound expressions, with the identical
-    /// segment walk, counting sort, lane kernel, and partition-order fold.
-    /// The result is **bit-identical to `collect_sharded` on a local table
+    /// the single-table pass); the same segmented kernel as
+    /// [`collect_sharded`] then reads the fetched buffers instead of bound
+    /// expressions. The result is **bit-identical to `collect_sharded` on a local table
     /// with the same layout**, for any thread count.
     ///
     /// [`collect_sharded`]: StratumStatistics::collect_sharded
@@ -359,80 +362,14 @@ impl StratumStatistics {
         options: &ExecOptions,
     ) -> Result<Self> {
         let exprs: Vec<Option<ScalarExpr>> = columns.iter().map(|c| Some(c.clone())).collect();
-        let fetched = set.fetch_values(&exprs, options)?;
-        let values: Vec<Vec<ColumnValues>> = fetched
+        let values: Vec<Vec<ColumnValues>> = set
+            .fetch_values(&exprs, options)?
             .into_iter()
             .map(|cols| cols.into_iter().map(|c| c.expect("Some expression")).collect())
             .collect();
         record_pass();
-        let ncols = columns.len();
-        let num_groups = index.num_groups();
-        let gids = index.row_groups();
-        let dense_col: Vec<bool> = (0..ncols)
-            .map(|c| values.iter().all(|shard_values| shard_values[c].is_dense()))
-            .collect();
-
-        let states = exec::fold_partitioned(
-            set.num_rows(),
-            options,
-            |_, range| {
-                let mut states = vec![vec![AggState::default(); ncols]; num_groups];
-                if range.is_empty() {
-                    return states;
-                }
-                enum Gathered {
-                    Dense(Vec<f64>),
-                    Sparse(Vec<Option<f64>>),
-                }
-
-                let segments = set.segments(range);
-                let gathered: Vec<Gathered> = (0..ncols)
-                    .map(|c| {
-                        if dense_col[c] {
-                            let mut col: Vec<f64> = Vec::with_capacity(range.len());
-                            for seg in &segments {
-                                let shard_values =
-                                    values[seg.shard][c].dense().expect("dense column");
-                                col.extend_from_slice(
-                                    &shard_values[seg.local.start..seg.local.end],
-                                );
-                            }
-                            Gathered::Dense(col)
-                        } else {
-                            let mut col: Vec<Option<f64>> = Vec::with_capacity(range.len());
-                            for seg in &segments {
-                                let shard_values = &values[seg.shard][c];
-                                col.extend(seg.local.rows().map(|r| shard_values.get(r)));
-                            }
-                            Gathered::Sparse(col)
-                        }
-                    })
-                    .collect();
-
-                let local = exec::bucket_rows_sequential(&gids[range.start..range.end], num_groups);
-                let mut buf: Vec<f64> = Vec::new();
-                for g in 0..num_groups {
-                    let run = local.bucket(g);
-                    if run.is_empty() {
-                        continue;
-                    }
-                    for (slot, col) in states[g].iter_mut().zip(&gathered) {
-                        buf.clear();
-                        match col {
-                            Gathered::Dense(values) => {
-                                buf.extend(run.iter().map(|&r| values[r as usize]));
-                            }
-                            Gathered::Sparse(values) => {
-                                buf.extend(run.iter().filter_map(|&r| values[r as usize]));
-                            }
-                        }
-                        slot.update_slice(&buf);
-                    }
-                }
-                states
-            },
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-        );
+        let segments = |range| set.segments(range);
+        let states = segmented_states(set.num_rows(), segments, &values, index, options);
         Ok(Self::from_states(index, columns, states))
     }
 

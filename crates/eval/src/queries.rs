@@ -304,7 +304,7 @@ pub fn aq1_spec(table: &Table) -> cvopt_core::Result<Vec<QuerySpec>> {
 /// estimated delta normalized by `max(|true delta|, |2017 level|)`.
 /// Raw relative errors of deltas explode when a country's year-over-year
 /// change is near zero; normalizing by the level keeps the metric
-/// comparable across methods (recorded in EXPERIMENTS.md).
+/// comparable across methods.
 pub fn aq1_errors(truth: &QueryResult, truth_2017: &QueryResult, est: &QueryResult) -> Vec<f64> {
     let mut errors = Vec::new();
     for (key, true_values) in truth.iter() {

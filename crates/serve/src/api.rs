@@ -295,10 +295,10 @@ fn tables(state: &ApiState, req: &Request) -> Response {
         None => {
             let source = match shards {
                 Some(n) => match ShardedTable::split(&table, n) {
-                    Ok(sharded) => cvopt_core::TableSource::Sharded(sharded),
+                    Ok(sharded) => cvopt_core::CatalogTable::Sharded(sharded),
                     Err(e) => return Response::error(400, &e.to_string()),
                 },
-                None => cvopt_core::TableSource::Local(table),
+                None => cvopt_core::CatalogTable::Single(table),
             };
             match &window {
                 Some(col) => {
@@ -335,13 +335,9 @@ fn ingest(state: &ApiState, req: &Request) -> Response {
     let Some(rows) = body.get("rows").and_then(Json::as_array) else {
         return Response::error(400, "'rows' must be an array of row arrays");
     };
-    let Some(schema) = state.engine.with_engine(|e| {
-        e.catalog_table(name).map(|t| match t {
-            cvopt_core::CatalogTable::Single(t) => t.schema().clone(),
-            cvopt_core::CatalogTable::Sharded(t) => t.schema().clone(),
-            cvopt_core::CatalogTable::Remote(s) => s.schema().clone(),
-        })
-    }) else {
+    let Some(schema) =
+        state.engine.with_engine(|e| e.catalog_table(name).map(|t| t.schema().clone()))
+    else {
         return Response::error(400, &format!("table '{name}' is not registered"));
     };
     let batch = match build_batch(&schema, rows) {

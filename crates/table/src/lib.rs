@@ -71,7 +71,7 @@ pub use groupby::{GroupIndex, GroupStrategy, KeyAtom};
 pub use join::{hash_join, hash_join_sharded};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{GroupByQuery, QueryResult};
-pub use reader::{ColumnValues, LocalShard, ShardReader, ShardSet};
+pub use reader::{ColumnValues, LocalShard, ShardColumn, ShardReader, ShardSet};
 pub use schema::{Field, Schema};
 pub use shard::{ShardSegment, ShardedTable};
 pub use table::{Table, TableBuilder};

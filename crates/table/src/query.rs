@@ -13,8 +13,8 @@ use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
 use crate::groupby::{GroupIndex, KeyAtom};
 use crate::predicate::Predicate;
-use crate::reader::{ColumnValues, ShardSet};
-use crate::shard::ShardedTable;
+use crate::reader::{ShardColumn, ShardSet};
+use crate::shard::{ShardSegment, ShardedTable};
 use crate::table::Table;
 use crate::Result;
 
@@ -89,8 +89,25 @@ impl GroupByQuery {
             Some(p) => Some(p.eval_sharded(table, options)?),
             None => None,
         };
-        let fine =
-            accumulate_sharded(table, &index, &self.aggregates, filters.as_deref(), options)?;
+        let bound: Vec<Vec<Option<BoundExpr<'_>>>> = table
+            .shards()
+            .iter()
+            .map(|shard| {
+                self.aggregates
+                    .iter()
+                    .map(|a| a.input.as_ref().map(|e| e.bind(shard)).transpose())
+                    .collect::<Result<_>>()
+            })
+            .collect::<Result<_>>()?;
+        let fine = accumulate_segmented(
+            table.num_rows(),
+            |range| table.segments(range),
+            &bound,
+            &index,
+            &self.aggregates,
+            filters.as_deref(),
+            options,
+        );
         Ok(self.finish(&index, &fine))
     }
 
@@ -99,7 +116,7 @@ impl GroupByQuery {
     /// surface, so shards may be local, remote, or mixed. The group index
     /// merges shard windows in shard order, predicate bitmaps arrive per
     /// shard, and the aggregation pass reads per-row values through
-    /// [`ColumnValues`] while still accumulating whole **global**
+    /// [`ColumnValues`](crate::ColumnValues) while still accumulating whole **global**
     /// partitions in partition order — so the results are **bit-identical
     /// to [`GroupByQuery::execute_sharded`] on a local table with the same
     /// layout**, for any thread count.
@@ -109,7 +126,20 @@ impl GroupByQuery {
             Some(p) => Some(set.eval_predicate(p, options)?),
             None => None,
         };
-        let fine = accumulate_set(set, &index, &self.aggregates, filters.as_deref(), options)?;
+        // One `expr_values` request per shard up front; the aggregation
+        // pass then reads the shipped values.
+        let exprs: Vec<Option<ScalarExpr>> =
+            self.aggregates.iter().map(|a| a.input.clone()).collect();
+        let values = set.fetch_values(&exprs, options)?;
+        let fine = accumulate_segmented(
+            set.num_rows(),
+            |range| set.segments(range),
+            &values,
+            &index,
+            &self.aggregates,
+            filters.as_deref(),
+            options,
+        );
         Ok(self.finish(&index, &fine))
     }
 
@@ -132,14 +162,14 @@ impl GroupByQuery {
 }
 
 /// Feed one row into a group's aggregate slots. `row` indexes the storage
-/// the expressions in `bound` were bound against (the whole table for the
-/// single-table executor, one shard for the sharded one). Shared by both
-/// executors so their numeric behavior cannot drift apart.
+/// the columns in `bound` read (the whole table for the single-table
+/// executor, one shard for the segmented one). Shared by every executor so
+/// their numeric behavior cannot drift apart.
 #[inline]
-fn update_group_states(
+fn update_group_states<C: ShardColumn>(
     group_states: &mut [AggState],
     aggregates: &[AggExpr],
-    bound: &[Option<BoundExpr<'_>>],
+    bound: &[Option<C>],
     row: usize,
 ) {
     for (slot, (agg, expr)) in group_states.iter_mut().zip(aggregates.iter().zip(bound)) {
@@ -147,14 +177,14 @@ fn update_group_states(
             (AggKind::Count, _) => 1.0,
             (AggKind::CountIf, Some(e)) => {
                 let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-                let v = e.f64_at(row).unwrap_or(f64::NAN);
+                let v = e.get(row).unwrap_or(f64::NAN);
                 if op.evaluate_f64(v, threshold) {
                     1.0
                 } else {
                     0.0
                 }
             }
-            (_, Some(e)) => match e.f64_at(row) {
+            (_, Some(e)) => match e.get(row) {
                 Some(v) => v,
                 None => continue,
             },
@@ -207,42 +237,38 @@ fn accumulate(
     ))
 }
 
-/// [`accumulate`] over a sharded table. Partials are still whole **global**
-/// partitions — each one walks the shard segments that cover it, reading
-/// values through that shard's bound expressions — so every partial's
-/// accumulation chain visits the same rows in the same order as the
-/// single-table pass, and the partition-order merge makes the result
-/// bit-identical to it regardless of where shard boundaries fall.
-fn accumulate_sharded(
-    table: &ShardedTable,
+/// [`accumulate`] over a multi-shard layout — the one segmented kernel
+/// behind both [`GroupByQuery::execute_sharded`] (columns are bound
+/// expressions) and [`GroupByQuery::execute_set`] (columns are shipped
+/// [`ColumnValues`](crate::ColumnValues)). `columns[shard][aggregate]` reads each shard, and
+/// `segments` maps a global row range onto the shards covering it.
+///
+/// Partials are still whole **global** partitions — each one walks the
+/// shard segments that cover it — so every partial's accumulation chain
+/// visits the same rows in the same order as the single-table pass, and
+/// the partition-order merge makes the result bit-identical to it
+/// regardless of where shard boundaries fall.
+fn accumulate_segmented<C: ShardColumn>(
+    num_rows: usize,
+    segments: impl Fn(RowRange) -> Vec<ShardSegment> + Sync,
+    columns: &[Vec<Option<C>>],
     index: &GroupIndex,
     aggregates: &[AggExpr],
     filters: Option<&[Bitmap]>,
     options: &ExecOptions,
-) -> Result<Vec<Vec<AggState>>> {
-    let bound: Vec<Vec<Option<BoundExpr<'_>>>> = table
-        .shards()
-        .iter()
-        .map(|shard| {
-            aggregates
-                .iter()
-                .map(|a| a.input.as_ref().map(|e| e.bind(shard)).transpose())
-                .collect::<Result<_>>()
-        })
-        .collect::<Result<_>>()?;
-
-    Ok(exec::fold_partitioned(
-        table.num_rows(),
+) -> Vec<Vec<AggState>> {
+    exec::fold_partitioned(
+        num_rows,
         options,
         |_, range| {
             let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-            for seg in table.segments(range) {
-                let shard_bound = &bound[seg.shard];
+            for seg in segments(range) {
+                let shard_columns = &columns[seg.shard];
                 // Global row id of shard-local row `r` is `r + delta`.
                 let delta = seg.global_start - seg.local.start;
                 let mut update_row = |local_row: usize| {
                     let group = index.group_of(local_row + delta) as usize;
-                    update_group_states(&mut states[group], aggregates, shard_bound, local_row);
+                    update_group_states(&mut states[group], aggregates, shard_columns, local_row);
                 };
                 match filters {
                     Some(bms) => {
@@ -261,91 +287,7 @@ fn accumulate_sharded(
             states
         },
         |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    ))
-}
-
-/// [`update_group_states`] reading rows through shipped [`ColumnValues`]
-/// instead of locally-bound expressions. `ColumnValues::get` reproduces the
-/// shard-side `f64_at` bit for bit, so the two update paths feed identical
-/// values into identical [`AggState`] chains.
-#[inline]
-fn update_group_states_values(
-    group_states: &mut [AggState],
-    aggregates: &[AggExpr],
-    values: &[Option<ColumnValues>],
-    row: usize,
-) {
-    for (slot, (agg, column)) in group_states.iter_mut().zip(aggregates.iter().zip(values)) {
-        let value = match (agg.kind, column) {
-            (AggKind::Count, _) => 1.0,
-            (AggKind::CountIf, Some(col)) => {
-                let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-                let v = col.get(row).unwrap_or(f64::NAN);
-                if op.evaluate_f64(v, threshold) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            (_, Some(col)) => match col.get(row) {
-                Some(v) => v,
-                None => continue,
-            },
-            (_, None) => continue,
-        };
-        slot.update(value);
-    }
-}
-
-/// [`accumulate_sharded`] over a [`ShardSet`]: one `expr_values` request
-/// per shard up front, then the identical global-partition walk with
-/// [`update_group_states_values`] in place of bound expressions.
-fn accumulate_set(
-    set: &ShardSet,
-    index: &GroupIndex,
-    aggregates: &[AggExpr],
-    filters: Option<&[Bitmap]>,
-    options: &ExecOptions,
-) -> Result<Vec<Vec<AggState>>> {
-    let exprs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
-    let values = set.fetch_values(&exprs, options)?;
-
-    Ok(exec::fold_partitioned(
-        set.num_rows(),
-        options,
-        |_, range| {
-            let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-            for seg in set.segments(range) {
-                let shard_values = &values[seg.shard];
-                // Global row id of shard-local row `r` is `r + delta`.
-                let delta = seg.global_start - seg.local.start;
-                let mut update_row = |local_row: usize| {
-                    let group = index.group_of(local_row + delta) as usize;
-                    update_group_states_values(
-                        &mut states[group],
-                        aggregates,
-                        shard_values,
-                        local_row,
-                    );
-                };
-                match filters {
-                    Some(bms) => {
-                        for local_row in bms[seg.shard].iter_ones_in(seg.local.start, seg.local.end)
-                        {
-                            update_row(local_row);
-                        }
-                    }
-                    None => {
-                        for local_row in seg.local.rows() {
-                            update_row(local_row);
-                        }
-                    }
-                }
-            }
-            states
-        },
-        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    ))
+    )
 }
 
 /// Merge finest-group states onto the grouping set `dims` and finalize.

@@ -22,11 +22,11 @@ use std::sync::Arc;
 use crate::bitmap::Bitmap;
 use crate::error::TableError;
 use crate::exec::{self, ExecOptions, RowRange};
-use crate::expr::ScalarExpr;
+use crate::expr::{BoundExpr, ScalarExpr};
 use crate::groupby::GroupIndex;
 use crate::predicate::Predicate;
 use crate::schema::Schema;
-use crate::shard::{ShardSegment, ShardedTable};
+use crate::shard::{self, ShardSegment, ShardedTable};
 use crate::table::{Table, TableBuilder};
 use crate::Result;
 
@@ -63,22 +63,46 @@ impl ColumnValues {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Value at `row` (`None` for a missing value), matching the shard-side
-    /// `f64_at` bit for bit.
-    #[inline]
-    pub fn get(&self, row: usize) -> Option<f64> {
-        match self {
-            ColumnValues::Dense(v) => Some(v[row]),
-            ColumnValues::Sparse(v) => v[row],
-        }
+/// How a segmented scatter-gather pass reads one column of one shard: a
+/// locally bound expression ([`BoundExpr`]) or values shipped across the
+/// pass boundary ([`ColumnValues`]). Both answer bit-identically for the
+/// same shard rows, so one kernel serves local and remote layouts alike.
+pub trait ShardColumn: Sync {
+    /// The whole shard column as a contiguous `f64` slice, when the column
+    /// is a plain `Float64` column (a schema-only property).
+    fn dense(&self) -> Option<&[f64]>;
+
+    /// Value at shard-local `row` (`None` for a missing value).
+    fn get(&self, row: usize) -> Option<f64>;
+}
+
+impl ShardColumn for BoundExpr<'_> {
+    fn dense(&self) -> Option<&[f64]> {
+        self.f64_slice()
     }
 
-    /// The dense values, if this is the dense representation.
-    pub fn dense(&self) -> Option<&[f64]> {
+    #[inline]
+    fn get(&self, row: usize) -> Option<f64> {
+        self.f64_at(row)
+    }
+}
+
+impl ShardColumn for ColumnValues {
+    fn dense(&self) -> Option<&[f64]> {
         match self {
             ColumnValues::Dense(v) => Some(v),
             ColumnValues::Sparse(_) => None,
+        }
+    }
+
+    /// Matches the shard-side `f64_at` bit for bit.
+    #[inline]
+    fn get(&self, row: usize) -> Option<f64> {
+        match self {
+            ColumnValues::Dense(v) => Some(v[row]),
+            ColumnValues::Sparse(v) => v[row],
         }
     }
 }
@@ -276,32 +300,15 @@ impl ShardSet {
     }
 
     /// The shard containing global `row`, and the row's shard-local id —
-    /// same math as [`ShardedTable::locate`].
+    /// the offset math of [`ShardedTable::locate`].
     pub fn locate(&self, row: usize) -> (usize, usize) {
-        debug_assert!(row < self.num_rows(), "row {row} out of range");
-        let shard = self.offsets.partition_point(|&o| o <= row) - 1;
-        let shard = (0..=shard).rev().find(|&s| self.offsets[s + 1] > row).expect("row in range");
-        (shard, row - self.offsets[shard])
+        shard::locate(&self.offsets, row)
     }
 
     /// The shard segments covering the global row range, in shard order —
-    /// same math as [`ShardedTable::segments`].
+    /// the offset math of [`ShardedTable::segments`].
     pub fn segments(&self, range: RowRange) -> Vec<ShardSegment> {
-        let mut out = Vec::new();
-        for s in 0..self.readers.len() {
-            let shard_start = self.offsets[s];
-            let shard_end = self.offsets[s + 1];
-            let start = range.start.max(shard_start);
-            let end = range.end.min(shard_end);
-            if start < end {
-                out.push(ShardSegment {
-                    shard: s,
-                    local: RowRange { start: start - shard_start, end: end - shard_start },
-                    global_start: start,
-                });
-            }
-        }
-        out
+        shard::segments(&self.offsets, range)
     }
 
     /// Build the group index over the set's logical row space: one

@@ -13,8 +13,9 @@
 //! > pass over the concatenated single table, for any shard layout
 //! > (uneven or empty shards included) and any thread count.
 //!
-//! Integer passes (group-index interning, predicate bitmaps, the bucket
-//! scatter) get this from ordered merges alone. Float passes (statistics,
+//! Integer passes (group-index interning, predicate bitmaps) get this from
+//! ordered merges alone, and the stratified draw then runs on the merged
+//! global index like any single table's. Float passes (statistics,
 //! exact aggregation) get it by anchoring their partition boundaries to the
 //! *global* row space (see [`ShardedTable::segments`]): a partial is always
 //! a whole global partition, assembled from the shard segments that cover
@@ -80,6 +81,39 @@ impl ShardSegment {
     pub fn is_empty(&self) -> bool {
         self.local.is_empty()
     }
+}
+
+/// The shard containing global `row` under the offset layout `offsets`
+/// (`offsets[s]` is shard `s`'s first global row, the last entry the total
+/// row count), and the row's shard-local id. Shared by [`ShardedTable`] and
+/// [`ShardSet`](crate::ShardSet), so both locate rows identically.
+pub(crate) fn locate(offsets: &[usize], row: usize) -> (usize, usize) {
+    let total = *offsets.last().expect("offsets never empty");
+    debug_assert!(row < total, "row {row} out of range");
+    // `partition_point` lands on the last shard *starting* at or before
+    // `row`; skip back over empty shards that share the same offset.
+    let shard = offsets.partition_point(|&o| o <= row) - 1;
+    let shard = (0..=shard).rev().find(|&s| offsets[s + 1] > row).expect("row in range");
+    (shard, row - offsets[shard])
+}
+
+/// The shard segments covering the global row range `range` under the
+/// offset layout `offsets`, in shard order; empty shards contribute no
+/// segment. Shared by [`ShardedTable`] and [`ShardSet`](crate::ShardSet).
+pub(crate) fn segments(offsets: &[usize], range: RowRange) -> Vec<ShardSegment> {
+    let mut out = Vec::new();
+    for (s, bounds) in offsets.windows(2).enumerate() {
+        let start = range.start.max(bounds[0]);
+        let end = range.end.min(bounds[1]);
+        if start < end {
+            out.push(ShardSegment {
+                shard: s,
+                local: RowRange { start: start - bounds[0], end: end - bounds[0] },
+                global_start: start,
+            });
+        }
+    }
+    out
 }
 
 /// A table split into independently-owned shards with a single logical row
@@ -176,34 +210,13 @@ impl ShardedTable {
 
     /// The shard containing global `row`, and the row's shard-local id.
     pub fn locate(&self, row: usize) -> (usize, usize) {
-        debug_assert!(row < self.num_rows(), "row {row} out of range");
-        // partition_point finds the first shard whose end exceeds `row`;
-        // empty shards are skipped because their start == end.
-        let shard = self.offsets.partition_point(|&o| o <= row) - 1;
-        // `partition_point` lands on the last shard *starting* at or before
-        // `row`; skip back over empty shards that share the same offset.
-        let shard = (0..=shard).rev().find(|&s| self.offsets[s + 1] > row).expect("row in range");
-        (shard, row - self.offsets[shard])
+        locate(&self.offsets, row)
     }
 
     /// The shard segments covering the global row range `[range.start,
     /// range.end)`, in shard order. Empty shards contribute no segment.
     pub fn segments(&self, range: RowRange) -> Vec<ShardSegment> {
-        let mut out = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let shard_start = self.offsets[s];
-            let shard_end = shard_start + shard.num_rows();
-            let start = range.start.max(shard_start);
-            let end = range.end.min(shard_end);
-            if start < end {
-                out.push(ShardSegment {
-                    shard: s,
-                    local: RowRange { start: start - shard_start, end: end - shard_start },
-                    global_start: start,
-                });
-            }
-        }
-        out
+        segments(&self.offsets, range)
     }
 
     /// Copy the rows with global ids in `rows` (in the given order) into a

@@ -18,7 +18,7 @@ use cvopt_core::{
 };
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{
-    sql, DataType, GroupIndex, ScalarExpr, ShardedTable, Table, TableBuilder, Value,
+    sql, DataType, GroupIndex, ScalarExpr, ShardSet, ShardedTable, Table, TableBuilder, Value,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -182,8 +182,9 @@ fn sharded_estimates_and_exact_answers_identical_to_unsharded() {
     }
 }
 
-/// The sharded draw (per-shard histogram level above the per-partition
-/// scatter) equals the unsharded draw on a real group index.
+/// Every layout draws with `StratifiedSample::draw` on its merged global
+/// index — the local sharded build and the shard-set build — and both
+/// equal the single-table draw on a real group index.
 #[test]
 fn sharded_draw_identical_across_layouts_and_threads() {
     let table = skewed_table();
@@ -192,16 +193,20 @@ fn sharded_draw_identical_across_layouts_and_threads() {
     let allocation: Vec<u64> = index.sizes().iter().map(|&n| (n / 8).max(1)).collect();
     let reference = StratifiedSample::draw(&index, &allocation, 99, &ExecOptions::sequential());
     for (name, sharded) in layouts(&table) {
+        let set = ShardSet::from_sharded(&sharded);
         for threads in thread_counts() {
             let options = ExecOptions::new(threads);
-            let sindex = GroupIndex::build_sharded(&sharded, &exprs, &options).unwrap();
-            assert_eq!(sindex.row_groups(), index.row_groups(), "layout {name}");
-            let drawn =
-                StratifiedSample::draw_sharded(&sindex, &sharded, &allocation, 99, &options);
-            assert_eq!(
-                drawn.rows_per_stratum, reference.rows_per_stratum,
-                "layout {name}, threads {threads}"
-            );
+            let sharded_index = GroupIndex::build_sharded(&sharded, &exprs, &options).unwrap();
+            let set_index = set.build_group_index(&exprs, &options).unwrap();
+            for (kind, sindex) in [("sharded", &sharded_index), ("set", &set_index)] {
+                assert_eq!(sindex.num_rows(), sharded.num_rows(), "layout {name}, {kind}");
+                assert_eq!(sindex.row_groups(), index.row_groups(), "layout {name}, {kind}");
+                let drawn = StratifiedSample::draw(sindex, &allocation, 99, &options);
+                assert_eq!(
+                    drawn.rows_per_stratum, reference.rows_per_stratum,
+                    "layout {name}, {kind}, threads {threads}"
+                );
+            }
         }
     }
 }
