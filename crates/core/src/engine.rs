@@ -27,6 +27,10 @@
 //! * [`Engine::reoptimize`] — consolidate the per-table query log into one
 //!   workload-tuned sample that subsumes the observed mix.
 //!
+//! Every per-layout pass lives in [`crate::catalog`], and the sample cache
+//! with its byte ledger in a crate-private module: the engine plans over
+//! both and never dispatches on a layout itself.
+//!
 //! ```
 //! use cvopt_core::{Engine, QueryMode};
 //! use cvopt_table::{DataType, TableBuilder, Value};
@@ -50,208 +54,26 @@
 //! assert_eq!(engine.stats_passes(), 1);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use cvopt_table::agg::AggState;
-use cvopt_table::exec::{partition_rows, ExecOptions};
-use cvopt_table::groupby::{choose_strategy, estimate_keys};
-use cvopt_table::{
-    hash_join, hash_join_sharded, sql, AggKind, GroupByQuery, GroupIndex, GroupStrategy,
-    QueryResult, ScalarExpr, Schema, ShardSet, ShardedTable, Table,
-};
+use cvopt_table::exec::ExecOptions;
+use cvopt_table::groupby::choose_strategy;
+use cvopt_table::{sql, AggKind, GroupByQuery, GroupStrategy, QueryResult, Table};
 
+use crate::cache::{ReusePlan, SampleCache};
 use crate::confidence::{estimate_avg_with_error, AvgEstimate};
 use crate::error::CvError;
 use crate::estimate::estimate_with;
-use crate::framework::{
-    budget_for_rows, note_draw, note_draw_avoided, CvOptOutcome, CvOptPlan, CvOptSampler,
-};
+use crate::framework::{budget_for_rows, note_draw_avoided, CvOptOutcome, CvOptPlan};
 use crate::maintain::MaintainedSample;
-use crate::sample::{MaterializedSample, StratifiedSample};
-use crate::spec::{AggColumn, Fingerprinter, QuerySpec, SamplingProblem};
-use crate::stats;
+use crate::sample::MaterializedSample;
+use crate::spec::{AggColumn, QuerySpec, SamplingProblem};
 use crate::Result;
 
-/// A catalog entry: one contiguous table, a locally sharded one, or a set
-/// of shards answering over the shard-pass surface (local, remote, or
-/// mixed). All kinds answer every query identically — scatter-gather passes
-/// are byte-identical to their single-table counterparts — so the choice is
-/// purely a deployment concern (ingest layout, which box owns the rows).
-///
-/// [`Engine::register`] takes anything that converts into a
-/// `CatalogTable`: a bare [`Table`], [`ShardedTable`], or [`ShardSet`]
-/// picks its kind through the `From` impls.
-#[derive(Debug, Clone)]
-pub enum CatalogTable {
-    /// One contiguous in-memory table.
-    Single(Table),
-    /// A table split across independently-owned shards, served by
-    /// scatter-gather passes.
-    Sharded(ShardedTable),
-    /// A table whose shards answer through [`ShardReader`]s — possibly in
-    /// another process, over the wire.
-    ///
-    /// [`ShardReader`]: cvopt_table::ShardReader
-    Remote(ShardSet),
-}
-
-impl From<Table> for CatalogTable {
-    fn from(table: Table) -> Self {
-        CatalogTable::Single(table)
-    }
-}
-
-impl From<ShardedTable> for CatalogTable {
-    fn from(table: ShardedTable) -> Self {
-        CatalogTable::Sharded(table)
-    }
-}
-
-impl From<ShardSet> for CatalogTable {
-    fn from(set: ShardSet) -> Self {
-        CatalogTable::Remote(set)
-    }
-}
-
-impl CatalogTable {
-    /// The table's schema (shared by every shard).
-    pub fn schema(&self) -> &Schema {
-        match self {
-            CatalogTable::Single(t) => t.schema(),
-            CatalogTable::Sharded(t) => t.schema(),
-            CatalogTable::Remote(s) => s.schema(),
-        }
-    }
-
-    /// Total logical rows.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            CatalogTable::Single(t) => t.num_rows(),
-            CatalogTable::Sharded(t) => t.num_rows(),
-            CatalogTable::Remote(s) => s.num_rows(),
-        }
-    }
-
-    /// Per-shard row counts for sharded and remote entries, `None` for
-    /// single tables.
-    fn shard_rows(&self) -> Option<Vec<usize>> {
-        match self {
-            CatalogTable::Single(_) => None,
-            CatalogTable::Sharded(t) => Some(t.shard_rows()),
-            CatalogTable::Remote(s) => Some(s.shard_rows()),
-        }
-    }
-
-    /// Per-shard partition counts (the `/explain` topology), `None` for
-    /// single tables.
-    fn shard_partitions(&self) -> Option<Vec<usize>> {
-        self.shard_rows().map(|rows| rows.iter().map(|&r| partition_rows(r).len()).collect())
-    }
-
-    /// Shard count for sharded and remote entries, `None` for single
-    /// tables.
-    pub fn num_shards(&self) -> Option<usize> {
-        match self {
-            CatalogTable::Single(_) => None,
-            CatalogTable::Sharded(t) => Some(t.num_shards()),
-            CatalogTable::Remote(s) => Some(s.num_shards()),
-        }
-    }
-
-    /// Shard count for remote entries only (`None` for single and locally
-    /// sharded tables) — the `/explain` topology marker.
-    pub fn remote_shards(&self) -> Option<usize> {
-        match self {
-            CatalogTable::Remote(s) => Some(s.num_shards()),
-            _ => None,
-        }
-    }
-
-    /// Fold the shard layout into `base` so cache keys distinguish a table
-    /// from a re-sharded version of itself: byte-identical results make
-    /// that distinction unnecessary for correctness of *answers*, but plan
-    /// reports (shard counts, per-shard partitions) hang off the cache key
-    /// and must never describe a stale layout.
-    ///
-    /// Remote sets fold **identically** to local sharded tables: where the
-    /// shards live never changes the answer bytes, so it must not change
-    /// the cache key either — a sample prepared locally is exactly the
-    /// sample a remote layout of the same shape would prepare.
-    ///
-    /// Public so reuse tests can pin the converse: two catalog entries
-    /// with different shard layouts fold the same problem to different
-    /// keys, so the reuse planner can never match across layouts.
-    pub fn layout_fingerprint(&self, base: u64) -> u64 {
-        let Some(shard_rows) = self.shard_rows() else { return base };
-        let mut fp = Fingerprinter::new();
-        fp.write_tag(b'S');
-        fp.write_u64(base);
-        fp.write_u64(shard_rows.len() as u64);
-        for rows in shard_rows {
-            fp.write_u64(rows as u64);
-        }
-        fp.finish()
-    }
-
-    /// The group index over `exprs`, built by the layout's own scatter
-    /// pass; every layout yields the concatenated table's index.
-    pub(crate) fn build_index(
-        &self,
-        exprs: &[ScalarExpr],
-        exec: &ExecOptions,
-    ) -> Result<GroupIndex> {
-        Ok(match self {
-            CatalogTable::Single(t) => GroupIndex::build_with(t, exprs, exec)?,
-            CatalogTable::Sharded(t) => GroupIndex::build_sharded(t, exprs, exec)?,
-            CatalogTable::Remote(s) => s.build_group_index(exprs, exec)?,
-        })
-    }
-
-    /// Statistics partials for the global partitions `from_partition..`
-    /// (see [`stats::tail_partials`]). Remote tables are never maintained:
-    /// they cannot declare a window, so they never reach here.
-    pub(crate) fn tail_partials(
-        &self,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        exec: &ExecOptions,
-        from_partition: usize,
-    ) -> Result<Vec<Vec<Vec<AggState>>>> {
-        match self {
-            CatalogTable::Single(t) => {
-                stats::tail_partials(t, index, columns, exec, from_partition)
-            }
-            CatalogTable::Sharded(t) => {
-                stats::tail_partials_sharded(t, index, columns, exec, from_partition)
-            }
-            CatalogTable::Remote(_) => Err(CvError::invalid(
-                "remote tables are not maintained incrementally; their rows live at the shard \
-                 servers",
-            )),
-        }
-    }
-
-    /// Draw on the (global) group index and materialize from this layout —
-    /// the pass a fresh [`CvOptSampler`] preparation runs.
-    pub(crate) fn draw(
-        &self,
-        index: &GroupIndex,
-        allocation: &[u64],
-        seed: u64,
-        exec: &ExecOptions,
-    ) -> Result<MaterializedSample> {
-        assert_eq!(index.num_rows(), self.num_rows(), "index must cover the table's rows");
-        note_draw();
-        let drawn = StratifiedSample::draw(index, allocation, seed, exec);
-        Ok(match self {
-            CatalogTable::Single(t) => drawn.materialize(t),
-            CatalogTable::Sharded(t) => drawn.materialize_sharded(t),
-            CatalogTable::Remote(s) => drawn.materialize_set(s)?,
-        })
-    }
-}
+pub use crate::cache::eviction_rank;
+pub use crate::catalog::CatalogTable;
 
 /// How [`Engine::query`] answers a statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -418,7 +240,7 @@ pub struct ExplainReport {
     /// count). Same availability as `shards`.
     pub shard_partitions: Option<Vec<usize>>,
     /// Shard count when the `FROM` table's shards answer over the wire
-    /// (a [`CatalogTable::Remote`] entry); `None` for single and locally
+    /// (a remote [`CatalogTable`] entry); `None` for single and locally
     /// sharded tables. The **only** report field that distinguishes a
     /// remote layout from the identical local one.
     pub remote_shards: Option<usize>,
@@ -499,87 +321,69 @@ pub fn problem_for_query(query: &GroupByQuery, budget: usize) -> Result<Sampling
     Ok(SamplingProblem::multi(specs, budget))
 }
 
-/// One prepared sample plus the problem it was prepared for. The problem
-/// is kept so a fingerprint collision is detected by structural equality
-/// and costs only a redundant preparation, never a wrong answer.
-///
-/// The economy fields feed eviction: `bytes` is what the entry costs to
-/// hold, `passes_saved` is what it has earned (each cache hit is one
-/// statistics pass + draw the engine did not re-run), and `last_used`
-/// breaks ties LRU-wise. The atomics are bumped under the cache **read**
-/// lock, so hits never serialize.
+/// One catalog table and everything the engine keeps per table. The
+/// engine holds one entry per lowercased name, so registration replaces
+/// the whole entry and dropping a table removes it: no per-table state can
+/// outlive (or predate) the table it describes.
 #[derive(Debug)]
-struct CachedSample {
-    problem: SamplingProblem,
-    outcome: Arc<CvOptOutcome>,
-    /// Approximate bytes held by the outcome (pure function of the data).
-    bytes: u64,
-    /// Statistics passes this entry has saved (cache hits served).
-    passes_saved: AtomicU64,
-    /// Logical clock stamp of the most recent use.
-    last_used: AtomicU64,
-    /// Whether the reuse planner may answer *other* problems from this
-    /// entry. Only entries published (or later exact-hit) by an explicit
-    /// [`Engine::prepare`] or [`Engine::reoptimize`] are reusable: those
-    /// operations are application-serialized, so the reusable set — unlike
-    /// the full cache under concurrent queries — changes at well-defined
-    /// points, keeping every reuse decision a pure function of
-    /// (catalog, reusable set, problem) and never of query timing.
-    reusable: AtomicBool,
+struct CatalogEntry {
+    /// The name as registered (SQL `FROM` resolves case-insensitively).
+    name: String,
+    table: CatalogTable,
+    /// Declared retention window column. A table with one supports
+    /// [`Engine::rotate`] and marks its durable samples for incremental
+    /// maintenance under ingest.
+    window: Option<String>,
+    /// Incrementally maintained durable samples. Locked because creation
+    /// happens on the `&self` prepare path.
+    maintained: Mutex<Vec<MaintainedSample>>,
+    /// Bounded ring of observed approximate-query shapes, feeding
+    /// [`Engine::reoptimize`].
+    log: Mutex<VecDeque<QueryLogEntry>>,
 }
 
-/// The eviction rank of a cache entry: entries are evicted in ascending
-/// order of `(bytes × passes-saved, last-used stamp)`.
-///
-/// The product is the sampling-algebra view of a cached sample's worth —
-/// the re-draw work it has saved, weighted by what it costs to hold — so
-/// an entry that never earned a hit (`passes_saved == 0`) ranks at zero
-/// and goes first, and among equals the least-recently-used entry goes
-/// first. The rank is a **pure function** of the three inputs (pinned by a
-/// property test), which is what makes eviction order — and therefore the
-/// `cache_evictions` counter — deterministic for a serialized workload.
-pub fn eviction_rank(bytes: u64, passes_saved: u64, last_used: u64) -> (u128, u64) {
-    ((bytes as u128) * (passes_saved as u128), last_used)
+impl CatalogEntry {
+    /// The catalog key (and the table half of every cache key).
+    fn key(&self) -> String {
+        self.name.to_ascii_lowercase()
+    }
+
+    /// Append an executed approximate query's shape to the log ring
+    /// (oldest entries fall off past [`QUERY_LOG_CAP`]).
+    fn log_query(
+        &self,
+        problem: &SamplingProblem,
+        fingerprint: u64,
+        query: &GroupByQuery,
+        reused: bool,
+    ) {
+        let entry = QueryLogEntry {
+            fingerprint,
+            budget: problem.budget,
+            group_by: problem.finest_stratification().iter().map(|e| e.display_name()).collect(),
+            aggregates: problem.aggregate_columns().iter().map(|e| e.display_name()).collect(),
+            predicate: query.predicate.as_ref().map(|p| p.to_string()),
+            specs: problem.queries.clone(),
+            reused,
+        };
+        let mut ring = lock(&self.log);
+        if ring.len() == QUERY_LOG_CAP {
+            ring.pop_front();
+        }
+        ring.push_back(entry);
+    }
 }
 
-/// Approximate bytes a cached [`CvOptOutcome`] holds: the materialized
-/// sample (columns, weights, origins, stratum ids) plus flat per-stratum
-/// charges for the plan. Pure function of the data — fixed per-element
-/// widths, never `size_of` — so the `cache_bytes_held` counter is
-/// identical on every platform and safe to snapshot into bench diffs.
-fn outcome_bytes(outcome: &CvOptOutcome) -> u64 {
-    /// Flat charge per stratum for plan metadata (key, statistics,
-    /// allocation slot).
-    const STRATUM_OVERHEAD: u64 = 64;
-    let sample = &outcome.sample;
-    let rows = sample.len() as u64;
-    sample.table.approx_bytes()
-        + 8 * rows // weights
-        + 4 * rows // origin row ids
-        + 4 * sample.row_stratum.len() as u64
-        + outcome.plan.num_strata() as u64 * STRATUM_OVERHEAD
-        + 8 * outcome.plan.betas.len() as u64
+/// Lock a mutex, recovering the data from a panicked holder (every guarded
+/// structure here stays consistent between statements).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-/// One in-flight sample preparation that concurrent cache misses for the
-/// same `(table, fingerprint, problem)` coalesce onto: exactly one caller
-/// runs the statistics pass and the draw (inside the cell's
-/// `get_or_init`), every other caller blocks on the cell and shares the
-/// outcome. The `bool` is `true` when the value came from a fresh scan
-/// (as opposed to a cache entry that appeared while we were queueing).
-#[derive(Debug)]
-struct PendingRun {
-    problem: SamplingProblem,
-    cell: OnceLock<Result<(Arc<CvOptOutcome>, bool)>>,
-}
-
-/// The cache key: lowercased catalog name + layout-folded problem
-/// fingerprint.
-type CacheKey = (String, u64);
 
 /// A long-lived session: catalog + prepared-sample cache + execution
 /// options. The recommended entry point for serving workloads;
-/// [`CvOptSampler`] remains the low-level one-shot two-pass primitive.
+/// [`CvOptSampler`](crate::CvOptSampler) remains the low-level one-shot
+/// two-pass primitive.
 ///
 /// # Concurrency
 ///
@@ -594,40 +398,18 @@ type CacheKey = (String, u64);
 /// problem coalesce onto one sampling run (see [`Engine::prepare`]).
 #[derive(Debug)]
 pub struct Engine {
-    tables: HashMap<String, (String, CatalogTable)>,
-    /// Declared retention window columns, keyed like `tables`. A table
-    /// with a window column supports [`Engine::rotate`] and marks its
-    /// durable samples for incremental maintenance under ingest.
-    windows: HashMap<String, String>,
-    /// Incrementally maintained durable samples, keyed like `tables`.
-    /// `RwLock` because creation happens on the `&self` prepare path.
-    maintained: RwLock<HashMap<String, Vec<MaintainedSample>>>,
-    cache: RwLock<HashMap<CacheKey, Vec<CachedSample>>>,
-    pending: Mutex<HashMap<CacheKey, Vec<Arc<PendingRun>>>>,
+    /// The catalog, keyed by lowercased name.
+    tables: HashMap<String, CatalogEntry>,
+    cache: SampleCache,
     exec: ExecOptions,
     seed: u64,
     default_rate: f64,
     auto_threshold: usize,
-    /// Byte budget for the prepared-sample cache; `None` is unbounded.
-    cache_budget: Option<u64>,
-    /// Approximate bytes currently held by cached samples.
-    cache_bytes: AtomicU64,
-    /// Entries evicted to stay under the budget.
-    cache_evictions: AtomicU64,
-    /// Logical clock for LRU stamps (bumped on every hit and insert).
-    cache_clock: AtomicU64,
     stats_passes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// Approximate answers derived from a subsuming cached sample.
     reuse_hits: AtomicU64,
-    /// Sample preparations (statistics pass + draw) the reuse planner
-    /// avoided. Currently bumps in lockstep with `reuse_hits`; kept
-    /// separate so batched reuse can diverge without a counter rename.
-    draws_avoided: AtomicU64,
-    /// Per-table bounded ring of observed approximate-query shapes,
-    /// feeding [`Engine::reoptimize`]. Keyed by lowercased catalog name.
-    query_log: Mutex<HashMap<String, VecDeque<QueryLogEntry>>>,
     /// Rows appended through [`Engine::ingest`].
     ingested_rows: AtomicU64,
     /// Batches accepted by [`Engine::ingest`].
@@ -696,22 +478,6 @@ pub struct RotateReport {
     pub maintained: usize,
 }
 
-/// Per-row keep decisions for a retention cutoff: `true` where the window
-/// column (an `INT64`/`TIMESTAMP` column validated at registration) is at
-/// or past `cutoff`.
-fn keep_mask(table: &Table, window: &str, cutoff: i64) -> Result<Vec<bool>> {
-    let idx = table.schema().index_of(window)?;
-    match table.column(idx) {
-        cvopt_table::Column::Int64(v) | cvopt_table::Column::Timestamp(v) => {
-            Ok(v.iter().map(|&t| t >= cutoff).collect())
-        }
-        other => Err(CvError::invalid(format!(
-            "window column '{window}' must be INT64 or TIMESTAMP, found {:?}",
-            other.data_type()
-        ))),
-    }
-}
-
 /// What [`Engine::reoptimize`] did for one table.
 #[derive(Debug, Clone)]
 pub struct ReoptimizeReport {
@@ -743,8 +509,9 @@ pub struct ReoptimizeReport {
 struct PlannedStatement {
     query: GroupByQuery,
     report: ExplainReport,
-    problem: Option<SamplingProblem>,
-    fingerprint: Option<u64>,
+    /// For approximate plans: the derived problem and its layout-folded
+    /// cache fingerprint.
+    approx: Option<(SamplingProblem, u64)>,
     /// For `JOIN` statements: the clause to materialize at execution time
     /// (join plans are always exact and never touch the sample cache).
     join: Option<sql::JoinClause>,
@@ -755,37 +522,21 @@ struct PlannedStatement {
     reuse: Option<ReusePlan>,
 }
 
-/// A reuse decision captured at plan time: the subsuming cached sample
-/// and the provenance the report describes it with.
-struct ReusePlan {
-    source_fingerprint: u64,
-    outcome: Arc<CvOptOutcome>,
-}
-
 impl Engine {
     /// An empty engine: default execution options (one worker per core),
     /// seed 0, 1% default sampling rate, and a 50 000-row auto threshold.
     pub fn new() -> Self {
         Engine {
             tables: HashMap::new(),
-            windows: HashMap::new(),
-            maintained: RwLock::new(HashMap::new()),
-            cache: RwLock::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            cache: SampleCache::default(),
             exec: ExecOptions::default(),
             seed: 0,
             default_rate: 0.01,
             auto_threshold: 50_000,
-            cache_budget: None,
-            cache_bytes: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            cache_clock: AtomicU64::new(0),
             stats_passes: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             reuse_hits: AtomicU64::new(0),
-            draws_avoided: AtomicU64::new(0),
-            query_log: Mutex::new(HashMap::new()),
             ingested_rows: AtomicU64::new(0),
             ingest_batches: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
@@ -794,16 +545,13 @@ impl Engine {
     }
 
     /// Bound the prepared-sample cache to approximately `budget` bytes
-    /// (`None`, the default, is unbounded). When an insert pushes the held
-    /// bytes over the budget, entries are evicted in ascending
-    /// [`eviction_rank`] order — cheapest-to-re-earn first, LRU tie-break —
-    /// until the cache fits. Entries with an in-flight coalesced miss are
-    /// never evicted. Eviction changes *when* sampling work happens, never
-    /// *what* a query answers: samples are pure functions of
-    /// `(table, problem, seed)`, so a re-prepared sample is bit-identical
-    /// to the evicted one.
+    /// (`None`, the default, is unbounded). Over budget, entries are
+    /// evicted in ascending [`eviction_rank`] order; entries with an
+    /// in-flight coalesced miss are never evicted. Eviction changes *when*
+    /// sampling work happens, never *what* a query answers: a re-prepared
+    /// sample is bit-identical to the evicted one.
     pub fn with_cache_bytes(mut self, budget: Option<u64>) -> Self {
-        self.cache_budget = budget;
+        self.cache = self.cache.with_budget(budget);
         self
     }
 
@@ -875,31 +623,34 @@ impl Engine {
     }
 
     /// Sample preparations (statistics pass + draw) the reuse planner
-    /// avoided by answering from a subsuming cached sample.
+    /// avoided by answering from a subsuming cached sample. Each derived
+    /// answer avoids exactly one, so this always equals
+    /// [`Engine::reuse_hits`]; the process-wide total across engines is
+    /// [`total_draws_avoided`](crate::total_draws_avoided).
     pub fn draws_avoided(&self) -> u64 {
-        self.draws_avoided.load(Ordering::Relaxed)
+        self.reuse_hits()
     }
 
     /// Number of prepared samples currently cached.
     pub fn cached_samples(&self) -> usize {
-        self.cache.read().unwrap_or_else(|e| e.into_inner()).values().map(Vec::len).sum()
+        self.cache.len()
     }
 
     /// The configured cache byte budget (`None` = unbounded).
     pub fn cache_budget(&self) -> Option<u64> {
-        self.cache_budget
+        self.cache.budget()
     }
 
     /// Approximate bytes currently held by cached samples (see
     /// [`Table::approx_bytes`](cvopt_table::Table::approx_bytes) — a pure
     /// function of the cached data, identical on every platform).
     pub fn cache_bytes_held(&self) -> u64 {
-        self.cache_bytes.load(Ordering::Relaxed)
+        self.cache.bytes_held()
     }
 
     /// Cache entries evicted so far to stay under the byte budget.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache_evictions.load(Ordering::Relaxed)
+        self.cache.evictions()
     }
 
     /// Rows appended through [`Engine::ingest`] over the engine's lifetime.
@@ -924,39 +675,30 @@ impl Engine {
 
     /// Durable samples currently under incremental maintenance.
     pub fn maintained_samples(&self) -> usize {
-        self.maintained.read().unwrap_or_else(|e| e.into_inner()).values().map(Vec::len).sum()
+        self.tables.values().map(|e| lock(&e.maintained).len()).sum()
     }
 
     /// The declared retention window column of `name`, if any.
     pub fn window_column(&self, name: &str) -> Option<&str> {
-        self.windows.get(&name.to_ascii_lowercase()).map(String::as_str)
+        self.tables.get(&name.to_ascii_lowercase())?.window.as_deref()
     }
 
     /// Register (or replace) a catalog table from anything that converts
     /// into a [`CatalogTable`]. SQL `FROM` names resolve to it
     /// case-insensitively.
     ///
-    /// A bare [`Table`], [`ShardedTable`], or [`ShardSet`] converts
-    /// implicitly. All kinds answer every query byte-identically — the
-    /// choice is purely a deployment concern — and cache keys fold in the
-    /// shard layout, so re-registering under a new layout can never serve a
-    /// plan report describing the old one.
+    /// A bare [`Table`], [`ShardedTable`](cvopt_table::ShardedTable), or
+    /// [`ShardSet`](cvopt_table::ShardSet) converts implicitly. All kinds
+    /// answer every query byte-identically — the choice is purely a
+    /// deployment concern — and cache keys fold in the shard layout, so
+    /// re-registering under a new layout can never serve a plan report
+    /// describing the old one.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         table: impl Into<CatalogTable>,
     ) -> &mut Self {
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
-        // Samples drawn from a replaced table are stale, and so are logged
-        // workload shapes (their budgets tracked the old row count).
-        // `&mut self` guarantees no query (and so no pending run) is in
-        // flight.
-        self.forget_table_samples(&key);
-        self.query_log.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.windows.remove(&key);
-        self.maintained.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.tables.insert(key, (name, table.into()));
+        self.insert(name.into(), table.into(), None);
         self
     }
 
@@ -979,7 +721,7 @@ impl Engine {
         window: &str,
     ) -> Result<&mut Self> {
         let table = table.into();
-        if let CatalogTable::Remote(_) = table {
+        if table.remote_shards().is_some() {
             return Err(CvError::invalid(
                 "remote shard sets cannot declare a window column; retention runs at the \
                  shard servers",
@@ -991,20 +733,31 @@ impl Engine {
                 "window column '{window}' must be INT64 or TIMESTAMP, found {dtype:?}"
             )));
         }
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
-        self.register(name, table);
-        self.windows.insert(key, window.to_string());
+        self.insert(name.into(), table, Some(window.to_string()));
         Ok(self)
+    }
+
+    /// Replace `name`'s whole catalog entry. Samples drawn from a replaced
+    /// table are stale, and so are its logged workload shapes (their
+    /// budgets tracked the old row count). `&mut self` guarantees no query
+    /// (and so no pending run) is in flight.
+    fn insert(&mut self, name: String, table: CatalogTable, window: Option<String>) {
+        let key = name.to_ascii_lowercase();
+        self.cache.forget_table(&key);
+        let entry = CatalogEntry {
+            name,
+            table,
+            window,
+            maintained: Mutex::default(),
+            log: Mutex::default(),
+        };
+        self.tables.insert(key, entry);
     }
 
     /// Remove a table, every sample prepared from it, and its query log.
     pub fn drop_table(&mut self, name: &str) -> bool {
         let key = name.to_ascii_lowercase();
-        self.forget_table_samples(&key);
-        self.query_log.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.windows.remove(&key);
-        self.maintained.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
+        self.cache.forget_table(&key);
         self.tables.remove(&key).is_some()
     }
 
@@ -1022,30 +775,19 @@ impl Engine {
     /// Remote tables reject the call: their rows live at the shard servers,
     /// which own the wire-level append pass.
     pub fn ingest(&mut self, name: &str, batch: &Table) -> Result<IngestReport> {
-        let key = name.to_ascii_lowercase();
-        let (display, extended) = {
-            let (display, table) = self.resolve(name)?;
-            let display = display.to_string();
-            let extended = match table {
-                CatalogTable::Single(t) => CatalogTable::Single(t.extended(batch)?),
-                CatalogTable::Sharded(t) => CatalogTable::Sharded(t.extended(batch)?),
-                CatalogTable::Remote(_) => {
-                    return Err(CvError::invalid(format!(
-                        "table '{display}' answers from remote shards; append through the shard \
-                         servers and re-register"
-                    )))
-                }
-            };
-            (display, extended)
-        };
-        self.tables.insert(key.clone(), (display.clone(), extended));
-        self.forget_table_samples(&key);
-        let maintained = self.update_maintained(&key, Some(batch));
+        let extended = self.entry(name)?.table.extended(batch)?;
+        self.replace_rows(name, extended);
+        let entry = self.entry(name)?;
+        let maintained = self.update_maintained(entry, Some(batch));
         self.ingested_rows.fetch_add(batch.num_rows() as u64, Ordering::Relaxed);
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        let total_rows = self.tables.get(&key).map(|(_, t)| t.num_rows()).unwrap_or(0);
-        self.enforce_budget();
-        Ok(IngestReport { table: display, rows: batch.num_rows(), total_rows, maintained })
+        self.cache.enforce_budget();
+        Ok(IngestReport {
+            table: entry.name.clone(),
+            rows: batch.num_rows(),
+            total_rows: entry.table.num_rows(),
+            maintained,
+        })
     }
 
     /// Drop rows whose window-column value is **below** `cutoff` from a
@@ -1055,221 +797,85 @@ impl Engine {
     /// (their budgets rescale to the pinned sampling rate); all other
     /// cached samples are invalidated.
     pub fn rotate(&mut self, name: &str, cutoff: i64) -> Result<RotateReport> {
-        let key = name.to_ascii_lowercase();
-        let window = self.windows.get(&key).cloned().ok_or_else(|| {
+        let window = self.tables.get(&name.to_ascii_lowercase()).and_then(|e| e.window.as_ref());
+        let window = window.ok_or_else(|| {
             CvError::invalid(format!(
                 "table '{name}' has no window column; register it with `register_windowed`"
             ))
         })?;
-        let (display, rotated, before) = {
-            let (display, table) = self.resolve(name)?;
-            let display = display.to_string();
-            let before = table.num_rows();
-            let rotated = match table {
-                CatalogTable::Single(t) => {
-                    let keep = keep_mask(t, &window, cutoff)?;
-                    let kept: Vec<usize> = (0..t.num_rows()).filter(|&i| keep[i]).collect();
-                    CatalogTable::Single(t.take(&kept))
-                }
-                CatalogTable::Sharded(t) => {
-                    let mut keep = Vec::with_capacity(t.num_rows());
-                    for shard in t.shards() {
-                        keep.extend(keep_mask(shard, &window, cutoff)?);
-                    }
-                    CatalogTable::Sharded(t.retained(|i| keep[i]))
-                }
-                CatalogTable::Remote(_) => {
-                    return Err(CvError::invalid(format!(
-                        "table '{display}' answers from remote shards; rotate at the shard \
-                         servers and re-register"
-                    )))
-                }
-            };
-            (display, rotated, before)
-        };
+        let entry = self.entry(name)?;
+        let before = entry.table.num_rows();
+        let rotated = entry.table.retained(window, cutoff)?;
         let remaining = rotated.num_rows();
         let retired = before - remaining;
-        self.tables.insert(key.clone(), (display.clone(), rotated));
-        self.forget_table_samples(&key);
-        let maintained = self.update_maintained(&key, None);
+        self.replace_rows(name, rotated);
+        let entry = self.entry(name)?;
+        let maintained = self.update_maintained(entry, None);
         self.rotations.fetch_add(1, Ordering::Relaxed);
         self.rows_retired.fetch_add(retired as u64, Ordering::Relaxed);
-        self.enforce_budget();
-        Ok(RotateReport { table: display, retired, remaining, maintained })
+        self.cache.enforce_budget();
+        Ok(RotateReport { table: entry.name.clone(), retired, remaining, maintained })
     }
 
-    /// Bring the table's maintained samples up to date after a catalog
+    /// Swap a registered table's rows (ingest, rotation) and invalidate
+    /// its cached samples; the rest of the entry — window, maintained
+    /// samples, query log — carries over.
+    fn replace_rows(&mut self, name: &str, table: CatalogTable) {
+        let key = name.to_ascii_lowercase();
+        self.tables.get_mut(&key).expect("resolved by the caller").table = table;
+        self.cache.forget_table(&key);
+    }
+
+    /// Bring the entry's maintained samples up to date after a catalog
     /// mutation — fold in `batch` (ingest) or rebuild from scratch (`None`,
     /// rotation) — and republish each as a durable cached sample under the
     /// post-mutation layout fingerprint. Entries that fail to update (e.g.
     /// a batch that breaks their invariants) are dropped, never served
     /// stale. Returns how many maintained samples survive.
-    fn update_maintained(&mut self, key: &str, batch: Option<&Table>) -> usize {
-        let Some((_, base)) = self.tables.get(key) else { return 0 };
-        let seed = self.seed;
-        let exec = self.exec;
-        let maintained_map = self.maintained.get_mut().unwrap_or_else(|e| e.into_inner());
-        let Some(entries) = maintained_map.get_mut(key) else { return 0 };
+    fn update_maintained(&self, entry: &CatalogEntry, batch: Option<&Table>) -> usize {
+        let mut maintained = lock(&entry.maintained);
         let mut rebuilds = 0u64;
-        entries.retain_mut(|m| match batch {
-            Some(b) => m.apply_append(base, b, seed, &exec).is_ok(),
+        maintained.retain_mut(|m| match batch {
+            Some(b) => m.apply_append(&entry.table, b, self.seed, &self.exec).is_ok(),
             // A rebuild re-scans the retained rows — a full statistics
             // pass, and the engine's gauge must say so.
             None => {
-                let ok = m.rebuild(base, seed, &exec).is_ok();
+                let ok = m.rebuild(&entry.table, self.seed, &self.exec).is_ok();
                 rebuilds += ok as u64;
                 ok
             }
         });
         self.stats_passes.fetch_add(rebuilds, Ordering::Relaxed);
-        let republish: Vec<(u64, SamplingProblem, Arc<CvOptOutcome>)> = entries
-            .iter()
-            .map(|m| {
-                let fp = base.layout_fingerprint(m.problem().fingerprint());
-                (fp, m.problem().clone(), Arc::clone(m.outcome()))
-            })
-            .collect();
-        let count = entries.len();
-        let cache = self.cache.get_mut().unwrap_or_else(|e| e.into_inner());
-        for (fp, problem, outcome) in republish {
-            let bucket = cache.entry((key.to_string(), fp)).or_default();
-            if bucket.iter().any(|e| e.problem == problem) {
-                continue;
-            }
-            let bytes = outcome_bytes(&outcome);
-            let stamp = self.cache_clock.fetch_add(1, Ordering::Relaxed) + 1;
-            bucket.push(CachedSample {
-                problem,
-                outcome,
-                bytes,
-                passes_saved: AtomicU64::new(0),
-                last_used: AtomicU64::new(stamp),
-                reusable: AtomicBool::new(true),
-            });
-            self.cache_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let key = entry.key();
+        for m in maintained.iter() {
+            let fingerprint = entry.table.layout_fingerprint(m.problem().fingerprint());
+            self.cache.publish(&(key.clone(), fingerprint), m.problem(), m.outcome(), true);
         }
-        count
-    }
-
-    /// Drop every cached sample of table `key`, keeping the held-bytes
-    /// gauge honest. Invalidation, not eviction: the eviction counter
-    /// tracks only budget pressure.
-    fn forget_table_samples(&mut self, key: &str) {
-        let cache = self.cache.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut freed = 0u64;
-        cache.retain(|(t, _), bucket| {
-            if t == key {
-                freed += bucket.iter().map(|e| e.bytes).sum::<u64>();
-                false
-            } else {
-                true
-            }
-        });
-        self.cache_bytes.fetch_sub(freed, Ordering::Relaxed);
-    }
-
-    /// Evict until the cache fits the configured byte budget. Keys with an
-    /// in-flight coalesced run are protected: evicting under a leader
-    /// mid-publish would let the same problem occupy two generations of
-    /// bytes and double-count evictions.
-    ///
-    /// Lock order is cache → pending, matching every other path (no path
-    /// takes the cache lock while holding the pending lock), so this
-    /// cannot deadlock.
-    fn enforce_budget(&self) {
-        let Some(budget) = self.cache_budget else { return };
-        if self.cache_bytes.load(Ordering::Relaxed) <= budget {
-            return;
-        }
-        let mut cache = self.cache.write().unwrap_or_else(|e| e.into_inner());
-        let protected: HashSet<CacheKey> = {
-            let pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            pending.keys().cloned().collect()
-        };
-        Self::enforce_budget_locked(
-            &mut cache,
-            &protected,
-            budget,
-            &self.cache_bytes,
-            &self.cache_evictions,
-        );
-    }
-
-    /// The eviction loop proper, factored over explicit state so tests can
-    /// drive it with a hand-built cache and protected set. Repeatedly
-    /// removes the unprotected entry with the smallest [`eviction_rank`]
-    /// until the held bytes fit `budget` (or only protected entries
-    /// remain), debiting `cache_bytes` and crediting `cache_evictions` per
-    /// eviction.
-    fn enforce_budget_locked(
-        cache: &mut HashMap<CacheKey, Vec<CachedSample>>,
-        protected: &HashSet<CacheKey>,
-        budget: u64,
-        cache_bytes: &AtomicU64,
-        cache_evictions: &AtomicU64,
-    ) {
-        while cache_bytes.load(Ordering::Relaxed) > budget {
-            let mut victim: Option<((u128, u64), CacheKey, usize)> = None;
-            for (key, bucket) in cache.iter() {
-                if protected.contains(key) {
-                    continue;
-                }
-                for (idx, entry) in bucket.iter().enumerate() {
-                    let rank = eviction_rank(
-                        entry.bytes,
-                        entry.passes_saved.load(Ordering::Relaxed),
-                        entry.last_used.load(Ordering::Relaxed),
-                    );
-                    if victim.as_ref().is_none_or(|(best, _, _)| rank < *best) {
-                        victim = Some((rank, key.clone(), idx));
-                    }
-                }
-            }
-            let Some((_, key, idx)) = victim else { break };
-            let bucket = cache.get_mut(&key).expect("victim key present");
-            let evicted = bucket.remove(idx);
-            if bucket.is_empty() {
-                cache.remove(&key);
-            }
-            cache_bytes.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            cache_evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        maintained.len()
     }
 
     /// Registered table names, sorted.
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.values().map(|(n, _)| n.as_str()).collect();
+        let mut names: Vec<&str> = self.tables.values().map(|e| e.name.as_str()).collect();
         names.sort_unstable();
         names
     }
 
     /// Look up a catalog entry (case-insensitive), whatever its kind.
     pub fn catalog_table(&self, name: &str) -> Option<&CatalogTable> {
-        self.tables.get(&name.to_ascii_lowercase()).map(|(_, t)| t)
+        self.tables.get(&name.to_ascii_lowercase()).map(|e| &e.table)
     }
 
     /// Look up a *single-table* catalog entry (case-insensitive). Sharded
-    /// entries return `None`; use [`Engine::sharded_table`] or
-    /// [`Engine::catalog_table`] for those.
+    /// and remote entries return `None`; use [`Engine::catalog_table`] for
+    /// those.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        match self.catalog_table(name) {
-            Some(CatalogTable::Single(t)) => Some(t),
-            _ => None,
-        }
+        self.catalog_table(name).and_then(CatalogTable::as_table)
     }
 
-    /// Look up a *sharded* catalog entry (case-insensitive).
-    pub fn sharded_table(&self, name: &str) -> Option<&ShardedTable> {
-        match self.catalog_table(name) {
-            Some(CatalogTable::Sharded(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    fn resolve(&self, name: &str) -> Result<(&str, &CatalogTable)> {
-        self.tables.get(&name.to_ascii_lowercase()).map(|(n, t)| (n.as_str(), t)).ok_or_else(|| {
-            let known =
-                self.table_names().iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
+    fn entry(&self, name: &str) -> Result<&CatalogEntry> {
+        self.tables.get(&name.to_ascii_lowercase()).ok_or_else(|| {
+            let known = self.table_names().join(", ");
             CvError::invalid(format!("table '{name}' is not registered (catalog: [{known}])"))
         })
     }
@@ -1294,22 +900,21 @@ impl Engine {
     /// the reusable set to explicitly managed samples is what keeps reuse
     /// decisions pure functions of (catalog, reusable set, problem).
     pub fn prepare(&self, table: &str, problem: SamplingProblem) -> Result<SampleHandle> {
-        let (catalog_name, base) = self.resolve(table)?;
-        let fingerprint = base.layout_fingerprint(problem.fingerprint());
-        self.prepare_keyed(catalog_name, base, problem, fingerprint, true)
+        let entry = self.entry(table)?;
+        let fingerprint = entry.table.layout_fingerprint(problem.fingerprint());
+        self.prepare_keyed(entry, problem, fingerprint, true)
     }
 
-    /// The keyed back half of [`Engine::prepare`]: probe the cache under a
-    /// read lock, otherwise coalesce onto (or become) the pending run for
-    /// this key. `fingerprint` must already be layout-folded — callers that
-    /// derived it during planning pass it through instead of recomputing.
+    /// The keyed back half of [`Engine::prepare`]: fetch the cached sample
+    /// or coalesce onto (or run) the one fresh preparation for this key.
+    /// `fingerprint` must already be layout-folded — callers that derived
+    /// it during planning pass it through instead of recomputing.
     /// `durable` marks the entry (published or exact-hit) as a reuse
     /// candidate; explicit prepares and the re-optimizer pass `true`, the
     /// query path `false`.
     fn prepare_keyed(
         &self,
-        catalog_name: &str,
-        base: &CatalogTable,
+        entry: &CatalogEntry,
         problem: SamplingProblem,
         fingerprint: u64,
         durable: bool,
@@ -1317,228 +922,46 @@ impl Engine {
         // Validation happens before any probe or scan, so invalid specs
         // fail fast and can never occupy a pending slot.
         problem.validate()?;
-        let key: CacheKey = (catalog_name.to_ascii_lowercase(), fingerprint);
-        if let Some((outcome, _)) = self.cached_outcome(&key, &problem, durable) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.handle(catalog_name, fingerprint, true, outcome));
-        }
-
-        // Miss: join the pending run for this exact problem, creating it
-        // if we are first. Structural equality guards the (astronomically
-        // unlikely) fingerprint collision exactly as the cache does.
-        let run = {
-            let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            let bucket = pending.entry(key.clone()).or_default();
-            match bucket.iter().find(|r| r.problem == problem) {
-                Some(run) => Arc::clone(run),
-                None => {
-                    let run =
-                        Arc::new(PendingRun { problem: problem.clone(), cell: OnceLock::new() });
-                    bucket.push(Arc::clone(&run));
-                    run
-                }
-            }
-        };
-        let mut ran_here = false;
-        let result = run.cell.get_or_init(|| {
-            ran_here = true;
-            // The cache may have been filled between our probe and this
-            // run becoming the key's pending entry; a fresh scan would be
-            // wasted work, so re-probe before scanning.
-            if let Some((outcome, _)) = self.cached_outcome(&key, &run.problem, durable) {
-                return Ok((outcome, false));
-            }
-            self.sample_uncached_keyed(&key.0, base, &run.problem, durable)
-                .map(|outcome| (outcome, true))
+        let key = (entry.key(), fingerprint);
+        let result = self.cache.get_or_prepare(&key, problem, durable, |problem| {
+            self.prepare_fresh(entry, problem, durable)
         });
-        if ran_here {
-            // Leader duties: publish the outcome, then retire the pending
-            // entry (in that order, so a late arrival always finds one of
-            // the two).
-            let mut published = false;
-            if let Ok((outcome, true)) = result {
-                let bytes = outcome_bytes(outcome);
-                let mut cache = self.cache.write().unwrap_or_else(|e| e.into_inner());
-                let bucket = cache.entry(key.clone()).or_default();
-                if !bucket.iter().any(|e| e.problem == problem) {
-                    bucket.push(CachedSample {
-                        problem: problem.clone(),
-                        outcome: Arc::clone(outcome),
-                        bytes,
-                        passes_saved: AtomicU64::new(0),
-                        last_used: AtomicU64::new(self.tick()),
-                        reusable: AtomicBool::new(durable),
-                    });
-                    self.cache_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    published = true;
-                }
-            }
-            {
-                let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(bucket) = pending.get_mut(&key) {
-                    bucket.retain(|r| !Arc::ptr_eq(r, &run));
-                    if bucket.is_empty() {
-                        pending.remove(&key);
-                    }
-                }
-            }
-            // Budget pass runs after the pending entry is retired, so a
-            // zero/tiny budget can evict even the entry just published —
-            // late coalescers read the outcome from the run cell, never
-            // the cache, so this costs nothing but a future re-prepare.
-            if published {
-                self.enforce_budget();
-            }
-        }
-        match result {
-            Ok((outcome, fresh)) => {
-                let fresh_here = ran_here && *fresh;
-                if fresh_here {
-                    self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(self.handle(catalog_name, fingerprint, !fresh_here, Arc::clone(outcome)))
-            }
-            Err(e) => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                Err(e.clone())
-            }
-        }
+        let counter = match result {
+            Ok((_, true)) => &self.cache_hits,
+            _ => &self.cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let (outcome, cache_hit) = result?;
+        Ok(self.handle(&entry.name, fingerprint, cache_hit, outcome))
     }
 
-    /// Next LRU stamp. Stamps start at 1 and are unique (atomic counter),
-    /// so no two entries ever tie on `last_used`.
-    fn tick(&self) -> u64 {
-        self.cache_clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Probe the cache (read lock only) for a structurally equal problem.
-    /// A hit credits the entry one saved statistics pass and freshens its
-    /// LRU stamp — both atomics, so hits never serialize on the write
-    /// lock. `mark_reusable` upgrades the entry to a reuse candidate: an
-    /// explicit prepare that exact-hits a query-drawn entry adopts it into
-    /// the durable set.
-    /// Returns the outcome plus whether the entry is (now) a durable reuse
-    /// candidate — the planner's Auto decision may only depend on the
-    /// durable bit, never on mere presence.
-    fn cached_outcome(
+    /// Run one fresh preparation (a statistics pass and a draw). A
+    /// *durable* preparation over a windowed table is built through
+    /// [`MaintainedSample::build`] — byte-identical to
+    /// [`CatalogTable::prepare`], but capturing the index and statistics
+    /// partials so later [`Engine::ingest`] calls can fold batches in
+    /// without a rescan.
+    fn prepare_fresh(
         &self,
-        key: &CacheKey,
-        problem: &SamplingProblem,
-        mark_reusable: bool,
-    ) -> Option<(Arc<CvOptOutcome>, bool)> {
-        let cache = self.cache.read().unwrap_or_else(|e| e.into_inner());
-        let entry = cache.get(key)?.iter().find(|e| &e.problem == problem)?;
-        entry.passes_saved.fetch_add(1, Ordering::Relaxed);
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        if mark_reusable {
-            entry.reusable.store(true, Ordering::Relaxed);
-        }
-        let durable = mark_reusable || entry.reusable.load(Ordering::Relaxed);
-        Some((Arc::clone(&entry.outcome), durable))
-    }
-
-    /// The reuse planner: scan the table's cached samples for a **durable**
-    /// entry whose problem subsumes `problem` under the current layout.
-    /// Candidates are ranked by `(budget desc, fingerprint asc)` — a total,
-    /// timing-free order — so which sample answers is a pure function of
-    /// the reusable set. Returns the captured outcome plus the groups the
-    /// estimator will merge away.
-    fn find_reusable(
-        &self,
-        table_key: &str,
-        base: &CatalogTable,
-        problem: &SamplingProblem,
-    ) -> Option<(ReusePlan, Vec<String>)> {
-        let requested: HashSet<String> =
-            problem.finest_stratification().iter().map(|e| e.display_name()).collect();
-        let cache = self.cache.read().unwrap_or_else(|e| e.into_inner());
-        let mut best: Option<(usize, u64, &CachedSample)> = None;
-        for ((name, folded), bucket) in cache.iter() {
-            if name != table_key {
-                continue;
-            }
-            for entry in bucket {
-                if !entry.reusable.load(Ordering::Relaxed) {
-                    continue;
-                }
-                // Never match across layouts: the stored key folds the
-                // shard layout, so an entry from a superseded layout (which
-                // registration invalidates anyway) re-folds differently.
-                if base.layout_fingerprint(entry.problem.fingerprint()) != *folded {
-                    continue;
-                }
-                if !entry.problem.subsumes(problem) {
-                    continue;
-                }
-                let rank = (entry.problem.budget, *folded);
-                let better = match &best {
-                    None => true,
-                    Some((b, fp, _)) => rank.0 > *b || (rank.0 == *b && rank.1 < *fp),
-                };
-                if better {
-                    best = Some((rank.0, rank.1, entry));
-                }
-            }
-        }
-        let (_, source_fingerprint, entry) = best?;
-        // A derived answer is a use: it earns the source its keep exactly
-        // like an exact hit would.
-        entry.passes_saved.fetch_add(1, Ordering::Relaxed);
-        entry.last_used.store(self.tick(), Ordering::Relaxed);
-        let coarsened: Vec<String> = entry
-            .problem
-            .finest_stratification()
-            .iter()
-            .map(|e| e.display_name())
-            .filter(|name| !requested.contains(name))
-            .collect();
-        Some((ReusePlan { source_fingerprint, outcome: Arc::clone(&entry.outcome) }, coarsened))
-    }
-
-    /// [`Engine::sample_uncached`], plus the maintenance hook: a *durable*
-    /// preparation over a windowed local table is built through
-    /// [`MaintainedSample::build`] — byte-identical to the plain two-pass
-    /// path, but capturing the index and statistics partials so later
-    /// [`Engine::ingest`] calls can fold batches in without a rescan.
-    fn sample_uncached_keyed(
-        &self,
-        table_key: &str,
-        base: &CatalogTable,
+        entry: &CatalogEntry,
         problem: &SamplingProblem,
         durable: bool,
     ) -> Result<Arc<CvOptOutcome>> {
-        if durable && self.windows.contains_key(table_key) {
-            let m = MaintainedSample::build(problem.clone(), base, self.seed, &self.exec)?;
-            self.stats_passes.fetch_add(1, Ordering::Relaxed);
+        let outcome = if durable && entry.window.is_some() {
+            let m = MaintainedSample::build(problem.clone(), &entry.table, self.seed, &self.exec)?;
             let outcome = Arc::clone(m.outcome());
-            let mut maintained = self.maintained.write().unwrap_or_else(|e| e.into_inner());
-            let entries = maintained.entry(table_key.to_string()).or_default();
-            entries.retain(|e| e.problem() != problem);
-            entries.push(m);
-            if entries.len() > MAINTAINED_CAP {
-                entries.remove(0);
+            let mut maintained = lock(&entry.maintained);
+            maintained.retain(|e| e.problem() != problem);
+            maintained.push(m);
+            if maintained.len() > MAINTAINED_CAP {
+                maintained.remove(0);
             }
-            return Ok(outcome);
-        }
-        self.sample_uncached(base, problem)
-    }
-
-    /// Run the two-pass sampler for a problem that is not cached.
-    fn sample_uncached(
-        &self,
-        base: &CatalogTable,
-        problem: &SamplingProblem,
-    ) -> Result<Arc<CvOptOutcome>> {
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec);
-        let outcome = match base {
-            CatalogTable::Single(t) => sampler.sample(t)?,
-            CatalogTable::Sharded(t) => sampler.sample_sharded(t)?,
-            CatalogTable::Remote(s) => sampler.sample_set(s)?,
+            outcome
+        } else {
+            entry.table.prepare(problem, self.seed, &self.exec)?
         };
         self.stats_passes.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(outcome))
+        Ok(outcome)
     }
 
     fn handle(
@@ -1568,107 +991,59 @@ impl Engine {
     /// in shard order) and answer exactly over the joined table.
     pub fn query(&self, statement: &str, mode: QueryMode) -> Result<QueryAnswer> {
         let (planned, is_explain) = self.plan_statement(statement, mode)?;
-        let PlannedStatement { query, mut report, problem, fingerprint, reuse, join } = planned;
+        let PlannedStatement { query, mut report, approx, reuse, join } = planned;
         if is_explain {
             return Ok(QueryAnswer { results: Vec::new(), report, confidence: Vec::new() });
         }
+        let entry = self.entry(&report.table)?;
         if let Some(join) = join {
-            let results = self.execute_join(&report.table, &join, &query)?;
+            let joined = entry.table.join(&self.entry(&join.table)?.table, &join, &self.exec)?;
+            let results = query.execute_with(&joined, &self.exec)?;
             return Ok(QueryAnswer { results, report, confidence: Vec::new() });
         }
-        let (catalog_name, base) = self.resolve(&report.table)?;
-        match report.mode {
-            QueryMode::Exact => {
-                let results = match base {
-                    CatalogTable::Single(t) => query.execute_with(t, &self.exec)?,
-                    CatalogTable::Sharded(t) => query.execute_sharded(t, &self.exec)?,
-                    CatalogTable::Remote(s) => query.execute_set(s, &self.exec)?,
-                };
-                Ok(QueryAnswer { results, report, confidence: Vec::new() })
-            }
-            _ => {
-                let problem = problem.expect("approximate plans carry a problem");
-                let fingerprint = fingerprint.expect("approximate plans carry a fingerprint");
-                let handle = match reuse {
-                    Some(plan) => {
-                        // Derived answer: re-aggregate the subsuming cached
-                        // sample the planner captured. This *is* the
-                        // handle-estimate call a direct user of that sample
-                        // would make, so the bytes are identical by
-                        // construction; no statistics pass, no draw.
-                        self.reuse_hits.fetch_add(1, Ordering::Relaxed);
-                        self.draws_avoided.fetch_add(1, Ordering::Relaxed);
-                        note_draw_avoided();
-                        self.handle(catalog_name, plan.source_fingerprint, true, plan.outcome)
-                    }
-                    None => {
-                        let handle = self.prepare_keyed(
-                            catalog_name,
-                            base,
-                            problem.clone(),
-                            fingerprint,
-                            false,
-                        )?;
-                        // The plan's probe was advisory; the prepare just
-                        // run is what actually happened.
-                        report.cache_hit = Some(handle.is_cache_hit());
-                        report.reuse = if handle.is_cache_hit() {
-                            ReuseInfo::Exact { fingerprint }
-                        } else {
-                            ReuseInfo::None
-                        };
-                        handle
-                    }
-                };
-                self.log_query(
-                    &report.table,
-                    &problem,
-                    fingerprint,
-                    &query,
-                    matches!(report.reuse, ReuseInfo::Derived { .. }),
-                );
-                let results = handle.estimate(&query)?;
-                let confidence = self.confidence_for(&handle, &query)?;
-                report.strata = Some(handle.plan().num_strata());
-                report.sample_rows = Some(handle.sample().len());
-                Ok(QueryAnswer { results, report, confidence })
-            }
+        if report.mode == QueryMode::Exact {
+            let results = entry.table.execute(&query, &self.exec)?;
+            return Ok(QueryAnswer { results, report, confidence: Vec::new() });
         }
-    }
-
-    /// Append the executed approximate query's shape to the table's
-    /// bounded log ring (oldest entries fall off past [`QUERY_LOG_CAP`]).
-    fn log_query(
-        &self,
-        table: &str,
-        problem: &SamplingProblem,
-        fingerprint: u64,
-        query: &GroupByQuery,
-        reused: bool,
-    ) {
-        let entry = QueryLogEntry {
-            fingerprint,
-            budget: problem.budget,
-            group_by: problem.finest_stratification().iter().map(|e| e.display_name()).collect(),
-            aggregates: problem.aggregate_columns().iter().map(|e| e.display_name()).collect(),
-            predicate: query.predicate.as_ref().map(|p| p.to_string()),
-            specs: problem.queries.clone(),
-            reused,
+        let (problem, fingerprint) = approx.expect("approximate plans carry a problem");
+        let handle = match reuse {
+            Some(plan) => {
+                // Derived answer: re-aggregate the subsuming cached sample
+                // the planner captured. This *is* the handle-estimate call a
+                // direct user of that sample would make, so the bytes are
+                // identical by construction; no statistics pass, no draw.
+                self.reuse_hits.fetch_add(1, Ordering::Relaxed);
+                note_draw_avoided();
+                self.handle(&entry.name, plan.source_fingerprint, true, plan.outcome)
+            }
+            None => {
+                let handle = self.prepare_keyed(entry, problem.clone(), fingerprint, false)?;
+                // The plan's probe was advisory; the prepare just run is
+                // what actually happened.
+                report.cache_hit = Some(handle.is_cache_hit());
+                report.reuse = if handle.is_cache_hit() {
+                    ReuseInfo::Exact { fingerprint }
+                } else {
+                    ReuseInfo::None
+                };
+                handle
+            }
         };
-        let mut log = self.query_log.lock().unwrap_or_else(|e| e.into_inner());
-        let ring = log.entry(table.to_ascii_lowercase()).or_default();
-        if ring.len() == QUERY_LOG_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(entry);
+        let reused = matches!(report.reuse, ReuseInfo::Derived { .. });
+        entry.log_query(&problem, fingerprint, &query, reused);
+        let results = handle.estimate(&query)?;
+        let confidence = self.confidence_for(&handle, &query)?;
+        report.strata = Some(handle.plan().num_strata());
+        report.sample_rows = Some(handle.sample().len());
+        Ok(QueryAnswer { results, report, confidence })
     }
 
     /// The table's current query log, oldest first. A snapshot: the ring
     /// keeps filling behind it.
     pub fn query_log(&self, table: &str) -> Vec<QueryLogEntry> {
-        let log = self.query_log.lock().unwrap_or_else(|e| e.into_inner());
-        log.get(&table.to_ascii_lowercase())
-            .map(|r| r.iter().cloned().collect())
+        self.tables
+            .get(&table.to_ascii_lowercase())
+            .map(|e| lock(&e.log).iter().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -1692,23 +1067,23 @@ impl Engine {
     /// thread — it takes `&self` and coalesces with concurrent queries like
     /// any other preparation.
     pub fn reoptimize(&self, table: &str) -> Result<Option<ReoptimizeReport>> {
-        let (catalog_name, base) = self.resolve(table)?;
-        let entries = self.query_log(catalog_name);
+        let entry = self.entry(table)?;
+        let entries = self.query_log(&entry.name);
         if entries.is_empty() {
             return Ok(None);
         }
         let mut counts: HashMap<u64, (u64, &QueryLogEntry)> = HashMap::new();
-        for entry in &entries {
-            counts.entry(entry.fingerprint).and_modify(|(n, _)| *n += 1).or_insert((1, entry));
+        for logged in &entries {
+            counts.entry(logged.fingerprint).and_modify(|(n, _)| *n += 1).or_insert((1, logged));
         }
         let mut shapes: Vec<u64> = counts.keys().copied().collect();
         shapes.sort_unstable();
         let mut specs = Vec::new();
         let mut budget = 0usize;
         for fp in &shapes {
-            let (count, entry) = counts[fp];
-            budget = budget.max(entry.budget);
-            for spec in &entry.specs {
+            let (count, logged) = counts[fp];
+            budget = budget.max(logged.budget);
+            for spec in &logged.specs {
                 let mut spec = spec.clone();
                 for agg in &mut spec.aggregates {
                     agg.weight *= count as f64;
@@ -1717,10 +1092,10 @@ impl Engine {
             }
         }
         let problem = SamplingProblem::multi(specs, budget);
-        let fingerprint = base.layout_fingerprint(problem.fingerprint());
-        let handle = self.prepare_keyed(catalog_name, base, problem, fingerprint, true)?;
+        let fingerprint = entry.table.layout_fingerprint(problem.fingerprint());
+        let handle = self.prepare_keyed(entry, problem, fingerprint, true)?;
         Ok(Some(ReoptimizeReport {
-            table: catalog_name.to_string(),
+            table: entry.name.clone(),
             logged: entries.len(),
             distinct_shapes: shapes.len(),
             budget,
@@ -1768,7 +1143,8 @@ impl Engine {
         if let Some(join) = join {
             return self.plan_join(&from, join, query, mode);
         }
-        let (catalog_name, base) = self.resolve(&from)?;
+        let entry = self.entry(&from)?;
+        let base = &entry.table;
         let table_rows = base.num_rows();
         let estimable = query.aggregates.iter().any(|a| a.input.is_some());
         // Derive the problem up front for every potentially-approximate
@@ -1789,17 +1165,17 @@ impl Engine {
         // a race under concurrent traffic, and the repo's contract is that
         // answer bytes and chosen modes never are. The probe result itself
         // still prefills the advisory `cache_hit` for EXPLAIN.
-        let table_key = catalog_name.to_ascii_lowercase();
+        let table_key = entry.key();
         let cached = derived
             .as_ref()
-            .and_then(|(p, fp, _)| self.cached_outcome(&(table_key.clone(), *fp), p, false));
+            .and_then(|(p, fp, _)| self.cache.probe(&(table_key.clone(), *fp), p, false));
         let durable_hit = cached.as_ref().is_some_and(|(_, durable)| *durable);
         let reusable = if durable_hit {
             // A durable exact hit always wins; `Derived` is reserved for
             // answers from a *different* problem's sample.
             None
         } else {
-            derived.as_ref().and_then(|(p, _, _)| self.find_reusable(&table_key, base, p))
+            derived.as_ref().and_then(|(p, _, _)| self.cache.find_subsuming(&table_key, base, p))
         };
         let (chosen, reason) = match mode {
             QueryMode::Exact | QueryMode::Approximate => (mode, "mode requested"),
@@ -1817,30 +1193,9 @@ impl Engine {
                 }
             }
         };
-        let shard_partitions = base.shard_partitions();
-        let (strategy, group_by_reason) = Self::plan_group_strategy(base, &query.group_by);
-        let mut report = ExplainReport {
-            table: catalog_name.to_string(),
-            table_rows,
-            mode: chosen,
-            reason,
-            join: None,
-            group_by_strategy: strategy.name(),
-            group_by_reason,
-            reuse: ReuseInfo::None,
-            cache_hit: None,
-            fingerprint: None,
-            budget: None,
-            strata: None,
-            sample_rows: None,
-            partitions: partition_rows(table_rows).len(),
-            threads: self.exec.threads(),
-            shards: base.num_shards(),
-            shard_partitions,
-            remote_shards: base.remote_shards(),
-        };
-        let mut problem = None;
-        let mut planned_fingerprint = None;
+        let strategy = base.group_strategy(&query.group_by);
+        let mut report = base.report(&entry.name, &self.exec, chosen, reason, strategy);
+        let mut approx = None;
         let mut reuse_plan = None;
         if chosen == QueryMode::Approximate {
             let (problem_derived, fingerprint, budget) =
@@ -1879,54 +1234,9 @@ impl Engine {
                     None => report.cache_hit = Some(false),
                 }
             }
-            problem = Some(problem_derived);
-            planned_fingerprint = Some(fingerprint);
+            approx = Some((problem_derived, fingerprint));
         }
-        Ok(PlannedStatement {
-            query,
-            report,
-            problem,
-            fingerprint: planned_fingerprint,
-            reuse: reuse_plan,
-            join: None,
-        })
-    }
-
-    /// The group-index interning strategy the execution layer will choose
-    /// for `group_by` over `base`, with its reason — reported by `EXPLAIN`.
-    /// Sharded tables build shard-locally, so the report summarizes at
-    /// table scale with the widest per-shard key estimate; remote shards
-    /// choose on their side of the wire.
-    fn plan_group_strategy(
-        base: &CatalogTable,
-        group_by: &[ScalarExpr],
-    ) -> (GroupStrategy, String) {
-        if group_by.is_empty() {
-            return (GroupStrategy::Hash, "no grouping dimensions".into());
-        }
-        match base {
-            CatalogTable::Single(t) => GroupIndex::strategy_for(t, group_by),
-            CatalogTable::Sharded(t) => {
-                let mut estimate = Some(0u64);
-                for shard in t.shards() {
-                    estimate = match (estimate, estimate_keys(shard, group_by)) {
-                        (Some(acc), Some(e)) => Some(acc.max(e)),
-                        _ => None,
-                    };
-                    if estimate.is_none() {
-                        break;
-                    }
-                }
-                choose_strategy(t.num_rows(), estimate)
-            }
-            CatalogTable::Remote(_) => {
-                let (strategy, _) = choose_strategy(base.num_rows(), None);
-                (
-                    strategy,
-                    "remote shards intern on the serving side; hash build unless forced".into(),
-                )
-            }
-        }
+        Ok(PlannedStatement { query, report, approx, reuse: reuse_plan, join: None })
     }
 
     /// Plan a `JOIN` statement: always exact (the sampling algebra has no
@@ -1941,12 +1251,13 @@ impl Engine {
         query: GroupByQuery,
         mode: QueryMode,
     ) -> Result<PlannedStatement> {
-        let (fact_name, fact) = self.resolve(from)?;
-        let (dim_name, dim) = self.resolve(&join.table)?;
-        if matches!(fact, CatalogTable::Remote(_)) || matches!(dim, CatalogTable::Remote(_)) {
+        let fact = self.entry(from)?;
+        let dim = self.entry(&join.table)?;
+        if fact.table.remote_shards().is_some() || dim.table.remote_shards().is_some() {
             return Err(CvError::invalid(format!(
                 "JOIN needs local rows on both sides; a remote table cannot be joined \
-                 (fact {fact_name}, dim {dim_name})"
+                 (fact {}, dim {})",
+                fact.name, dim.name
             )));
         }
         if mode == QueryMode::Approximate {
@@ -1958,85 +1269,18 @@ impl Engine {
             QueryMode::Exact => "mode requested",
             _ => "join queries answer exactly",
         };
-        let (strategy, group_by_reason) = if query.group_by.is_empty() {
+        let strategy = if query.group_by.is_empty() {
             (GroupStrategy::Hash, "no grouping dimensions".to_string())
         } else {
-            choose_strategy(fact.num_rows(), None)
+            choose_strategy(fact.table.num_rows(), None)
         };
-        let table_rows = fact.num_rows();
-        let shard_partitions = fact.shard_partitions();
-        let report = ExplainReport {
-            table: fact_name.to_string(),
-            table_rows,
-            mode: QueryMode::Exact,
-            reason,
-            join: Some(format!(
-                "{dim_name} ON {fact_name}.{} = {dim_name}.{}",
-                join.fact_key, join.dim_key
-            )),
-            group_by_strategy: strategy.name(),
-            group_by_reason,
-            reuse: ReuseInfo::None,
-            cache_hit: None,
-            fingerprint: None,
-            budget: None,
-            strata: None,
-            sample_rows: None,
-            partitions: partition_rows(table_rows).len(),
-            threads: self.exec.threads(),
-            shards: fact.num_shards(),
-            shard_partitions,
-            remote_shards: None,
-        };
-        Ok(PlannedStatement {
-            query,
-            report,
-            problem: None,
-            fingerprint: None,
-            reuse: None,
-            join: Some(join),
-        })
-    }
-
-    /// Materialize the join and answer `query` over its output. The fact
-    /// side joins per shard in shard order (global row order), so the
-    /// output — and therefore the answer bytes — is identical for any
-    /// shard layout and any thread count.
-    fn execute_join(
-        &self,
-        fact_name: &str,
-        join: &sql::JoinClause,
-        query: &GroupByQuery,
-    ) -> Result<Vec<QueryResult>> {
-        let (_, fact) = self.resolve(fact_name)?;
-        let (dim_name, dim) = self.resolve(&join.table)?;
-        let dim_owned;
-        let dim_table: &Table = match dim {
-            CatalogTable::Single(t) => t,
-            CatalogTable::Sharded(t) => {
-                dim_owned = t.to_table();
-                &dim_owned
-            }
-            CatalogTable::Remote(_) => {
-                return Err(CvError::invalid(format!(
-                    "dimension table {dim_name} answers over the wire; JOIN needs local rows"
-                )))
-            }
-        };
-        let joined = match fact {
-            CatalogTable::Single(t) => {
-                hash_join(t, dim_table, &join.fact_key, &join.dim_key, &self.exec)?
-            }
-            CatalogTable::Sharded(t) => {
-                hash_join_sharded(t, dim_table, &join.fact_key, &join.dim_key, &self.exec)?
-            }
-            CatalogTable::Remote(_) => {
-                return Err(CvError::invalid(format!(
-                    "fact table {fact_name} answers over the wire; JOIN needs local rows"
-                )))
-            }
-        };
-        Ok(query.execute_with(&joined, &self.exec)?)
+        let mut report =
+            fact.table.report(&fact.name, &self.exec, QueryMode::Exact, reason, strategy);
+        report.join = Some(format!(
+            "{} ON {}.{} = {}.{}",
+            dim.name, fact.name, join.fact_key, dim.name, join.dim_key
+        ));
+        Ok(PlannedStatement { query, report, approx: None, reuse: None, join: Some(join) })
     }
 
     /// Confidence intervals for the query's `AVG` aggregates. Cube queries
@@ -2079,8 +1323,8 @@ impl Default for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::budget_for_rate;
-    use cvopt_table::{DataType, KeyAtom, TableBuilder, Value};
+    use crate::framework::{budget_for_rate, CvOptSampler};
+    use cvopt_table::{hash_join, DataType, KeyAtom, ShardedTable, TableBuilder, Value};
 
     fn table(rows: usize) -> Table {
         let mut b = TableBuilder::new(&[
@@ -2417,8 +1661,7 @@ mod tests {
         e.register("shard", ShardedTable::split(&t, 2).unwrap());
         assert!(e.table("plain").is_some());
         assert!(e.table("shard").is_none(), "sharded entries are not single tables");
-        assert!(e.sharded_table("shard").is_some());
-        assert!(e.sharded_table("plain").is_none());
+        assert_eq!(e.catalog_table("plain").unwrap().num_shards(), None);
         assert!(matches!(e.catalog_table("shard"), Some(CatalogTable::Sharded(_))));
         assert_eq!(e.catalog_table("shard").unwrap().num_shards(), Some(2));
         assert_eq!(e.table_names(), vec!["plain", "shard"]);
@@ -2526,26 +1769,6 @@ mod tests {
 
     // ---- cache economy ----------------------------------------------------
 
-    /// A hand-built cache entry for driving `enforce_budget_locked`
-    /// directly (the outcome payload is irrelevant to eviction — only the
-    /// accounted `bytes` matter).
-    fn economy_entry(
-        outcome: &Arc<CvOptOutcome>,
-        budget: usize,
-        bytes: u64,
-        passes: u64,
-        used: u64,
-    ) -> CachedSample {
-        CachedSample {
-            problem: SamplingProblem::single(QuerySpec::group_by(&["g"]).aggregate("x"), budget),
-            outcome: Arc::clone(outcome),
-            bytes,
-            passes_saved: AtomicU64::new(passes),
-            last_used: AtomicU64::new(used),
-            reusable: AtomicBool::new(false),
-        }
-    }
-
     fn small_outcome() -> Arc<CvOptOutcome> {
         let problem = SamplingProblem::single(QuerySpec::group_by(&["g"]).aggregate("x"), 50);
         Arc::new(CvOptSampler::new(problem).with_seed(1).sample(&table(500)).unwrap())
@@ -2640,42 +1863,43 @@ mod tests {
     #[test]
     fn eviction_order_is_rank_then_lru() {
         let outcome = small_outcome();
-        let mut cache: HashMap<CacheKey, Vec<CachedSample>> = HashMap::new();
+        let cache = SampleCache::default().with_budget(Some(150));
         // Ranks: a = 100×0 = 0, b = 100×1 = 100, c = 100×2 = 200; d ties
         // b's product with an older stamp.
-        cache.insert(("t".into(), 1), vec![economy_entry(&outcome, 50, 100, 0, 4)]);
-        cache.insert(("t".into(), 2), vec![economy_entry(&outcome, 51, 100, 1, 3)]);
-        cache.insert(("t".into(), 3), vec![economy_entry(&outcome, 52, 100, 2, 2)]);
-        cache.insert(("t".into(), 4), vec![economy_entry(&outcome, 53, 100, 1, 1)]);
-        let bytes = AtomicU64::new(400);
-        let evictions = AtomicU64::new(0);
-        Engine::enforce_budget_locked(&mut cache, &HashSet::new(), 150, &bytes, &evictions);
+        for (fp, budget, passes, used) in
+            [(1, 50, 0, 4), (2, 51, 1, 3), (3, 52, 2, 2), (4, 53, 1, 1)]
+        {
+            let problem =
+                SamplingProblem::single(QuerySpec::group_by(&["g"]).aggregate("x"), budget);
+            cache.hold(("t".into(), fp), problem, Arc::clone(&outcome), (100, passes, used));
+        }
+        cache.enforce_budget();
         // 400 → evict rank-0 (key 1) → 300 → evict the LRU of the rank-100
         // tie (key 4, stamp 1) → 200 → evict the younger rank-100 (key 2)
         // → 100 ≤ 150, stop. The rank-200 entry survives.
-        assert_eq!(evictions.load(Ordering::Relaxed), 3);
-        assert_eq!(bytes.load(Ordering::Relaxed), 100);
-        assert_eq!(cache.keys().collect::<Vec<_>>(), vec![&("t".to_string(), 3)]);
+        assert_eq!(cache.evictions(), 3);
+        assert_eq!(cache.bytes_held(), 100);
+        assert_eq!(cache.keys(), vec![("t".to_string(), 3)]);
     }
 
     #[test]
     fn in_flight_keys_are_never_evicted() {
         let outcome = small_outcome();
-        let mut cache: HashMap<CacheKey, Vec<CachedSample>> = HashMap::new();
+        let cache = SampleCache::default().with_budget(Some(0));
         // The protected entry has the *lowest* rank — the one eviction
         // would otherwise take first.
-        cache.insert(("t".into(), 1), vec![economy_entry(&outcome, 50, 100, 0, 1)]);
-        cache.insert(("t".into(), 2), vec![economy_entry(&outcome, 51, 100, 5, 2)]);
-        let protected: HashSet<CacheKey> = [("t".to_string(), 1)].into();
-        let bytes = AtomicU64::new(200);
-        let evictions = AtomicU64::new(0);
-        Engine::enforce_budget_locked(&mut cache, &protected, 0, &bytes, &evictions);
+        for (fp, budget, passes, used) in [(1, 50, 0, 1), (2, 51, 5, 2)] {
+            let problem =
+                SamplingProblem::single(QuerySpec::group_by(&["g"]).aggregate("x"), budget);
+            cache.hold(("t".into(), fp), problem, Arc::clone(&outcome), (100, passes, used));
+        }
+        cache.hold_pending(("t".to_string(), 1));
+        cache.enforce_budget();
         // Only the unprotected entry goes; the loop then stops even though
         // the protected entry still exceeds the budget.
-        assert_eq!(evictions.load(Ordering::Relaxed), 1);
-        assert_eq!(bytes.load(Ordering::Relaxed), 100);
-        assert!(cache.contains_key(&("t".to_string(), 1)));
-        assert!(!cache.contains_key(&("t".to_string(), 2)));
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.bytes_held(), 100);
+        assert_eq!(cache.keys(), vec![("t".to_string(), 1)]);
     }
 
     proptest::proptest! {
@@ -2971,7 +2195,7 @@ mod tests {
         assert_eq!((e.rotations(), e.rows_retired()), (1, 1000));
         assert_eq!(report.maintained, 1, "maintained sample rebuilt over survivors");
         // The oldest shard aged out entirely: 3000/3 = 1000 rows per shard.
-        assert_eq!(e.sharded_table("t").unwrap().num_shards(), 2);
+        assert_eq!(e.catalog_table("t").unwrap().num_shards(), Some(2));
 
         let ans = e.query("SELECT COUNT(*) AS n FROM t", QueryMode::Exact).unwrap();
         assert_eq!(format!("{:?}", ans.results[0].values[0][0]), format!("{:?}", 2000.0_f64));
@@ -2981,6 +2205,59 @@ mod tests {
         plain.register("p", ts_table(0, 100));
         assert!(plain.rotate("p", 10).is_err());
         assert!(plain.ingest("missing", &ts_table(0, 1)).is_err());
+    }
+
+    /// The cache's byte ledger equals the bytes of the entries it holds
+    /// after every kind of publish and debit: a query publish, a hit, a
+    /// windowed ingest (invalidate, then republish), a rotation
+    /// (invalidate, then rebuild), eviction under a small budget,
+    /// re-registration and drop.
+    #[test]
+    fn byte_ledger_matches_held_entries_through_every_publish_and_forget() {
+        fn check(e: &Engine, step: &str) {
+            let (entries, bytes) = e.cache.recount();
+            assert_eq!(e.cache_bytes_held(), bytes, "{step}: ledger vs held entries");
+            assert_eq!(e.cached_samples(), entries, "{step}: entry count");
+        }
+        let hot = "SELECT g, AVG(x) FROM t GROUP BY g";
+        let one_entry = {
+            let mut probe = Engine::new().with_seed(3);
+            probe.register("t", ts_table(0, 3000));
+            probe.query(hot, QueryMode::Approximate).unwrap();
+            probe.cache_bytes_held()
+        };
+        let mut e = Engine::new().with_seed(3).with_cache_bytes(Some(3 * one_entry));
+        e.register_windowed("t", ts_table(0, 3000), "ts").unwrap();
+        check(&e, "empty");
+        let query = sql::compile(hot).unwrap();
+        e.prepare("t", problem_for_query(&query, 30).unwrap()).unwrap();
+        assert_eq!((e.cached_samples(), e.maintained_samples()), (1, 1));
+        check(&e, "publish");
+        let hit = e.query(hot, QueryMode::Approximate).unwrap();
+        assert_eq!(hit.report.cache_hit, Some(true));
+        check(&e, "hit");
+        e.query("SELECT AVG(x) FROM t", QueryMode::Approximate).unwrap();
+        check(&e, "second publish");
+        e.ingest("t", &ts_table(3000, 1000)).unwrap();
+        assert_eq!(e.cached_samples(), 1, "only the maintained sample is republished");
+        check(&e, "ingest");
+        e.rotate("t", 1000).unwrap();
+        assert_eq!(e.cached_samples(), 1, "the maintained sample is rebuilt and republished");
+        check(&e, "rotate");
+        // One stratum per row: far over the budget on its own.
+        e.query("SELECT ts, AVG(x) FROM t GROUP BY ts", QueryMode::Approximate).unwrap();
+        assert!(e.cache_evictions() > 0);
+        check(&e, "eviction");
+        e.query(hot, QueryMode::Approximate).unwrap();
+        check(&e, "publish after eviction");
+        e.register("t", ts_table(0, 3000));
+        assert_eq!(e.cache_bytes_held(), 0);
+        check(&e, "re-register");
+        e.query(hot, QueryMode::Approximate).unwrap();
+        check(&e, "publish after re-register");
+        assert!(e.drop_table("t"));
+        assert_eq!(e.cache_bytes_held(), 0);
+        check(&e, "drop");
     }
 
     /// A window column must exist and be integer-ordered.

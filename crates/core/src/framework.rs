@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::{GroupIndex, KeyAtom, ScalarExpr, ShardSet, ShardedTable, Table};
+use cvopt_table::{GroupIndex, KeyAtom, ScalarExpr, Table};
 
 use crate::alloc::{compute_betas, linf_allocation, lp_allocation, sqrt_allocation, Allocation};
 use crate::error::CvError;
@@ -59,8 +59,8 @@ pub(crate) fn note_draw_avoided() {
     DRAWS_AVOIDED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record one stratified draw (called by the incremental-maintenance path,
-/// whose draws run outside [`CvOptSampler::sample`]).
+/// Record one stratified draw (called by the catalog's draw, which every
+/// engine preparation runs instead of [`CvOptSampler::sample`]).
 pub(crate) fn note_draw() {
     TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
 }
@@ -165,34 +165,6 @@ impl CvOptSampler {
         Ok(CvOptOutcome { sample, plan })
     }
 
-    /// [`CvOptSampler::sample`] over a [`ShardedTable`]: the index build,
-    /// the statistics pass, and materialization are scatter-gather across
-    /// the shards, and the draw runs on the (global) sharded group index,
-    /// so the outcome (plan, sampled rows, weights) is **byte-identical to
-    /// sampling the concatenated table with the same seed**, for any shard
-    /// layout and thread count.
-    pub fn sample_sharded(&self, table: &ShardedTable) -> Result<CvOptOutcome> {
-        let (index, plan) = self.plan_with_index_sharded(table)?;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize_sharded(table);
-        Ok(CvOptOutcome { sample, plan })
-    }
-
-    /// [`CvOptSampler::sample_sharded`] over a [`ShardSet`]: the scatter
-    /// passes go through the shard-pass surface ([`cvopt_table::reader`]),
-    /// so shards may answer from another process over the wire — and the
-    /// outcome (plan, sampled rows, weights) stays **byte-identical to
-    /// sampling the concatenated table with the same seed**, for any shard
-    /// layout and thread count.
-    pub fn sample_set(&self, set: &ShardSet) -> Result<CvOptOutcome> {
-        let (index, plan) = self.plan_with_index_set(set)?;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize_set(set)?;
-        Ok(CvOptOutcome { sample, plan })
-    }
-
     fn plan_with_index(&self, table: &Table) -> Result<(GroupIndex, CvOptPlan)> {
         self.problem.validate()?;
         let strata_exprs = self.problem.finest_stratification();
@@ -203,30 +175,10 @@ impl CvOptSampler {
         Ok((index, plan))
     }
 
-    fn plan_with_index_sharded(&self, table: &ShardedTable) -> Result<(GroupIndex, CvOptPlan)> {
-        self.problem.validate()?;
-        let strata_exprs = self.problem.finest_stratification();
-        let index = GroupIndex::build_sharded(table, &strata_exprs, &self.exec)?;
-        let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_sharded(table, &index, &columns, &self.exec)?;
-        let plan = self.allocate(strata_exprs, &index, stats)?;
-        Ok((index, plan))
-    }
-
-    fn plan_with_index_set(&self, set: &ShardSet) -> Result<(GroupIndex, CvOptPlan)> {
-        self.problem.validate()?;
-        let strata_exprs = self.problem.finest_stratification();
-        let index = set.build_group_index(&strata_exprs, &self.exec)?;
-        let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_set(set, &index, &columns, &self.exec)?;
-        let plan = self.allocate(strata_exprs, &index, stats)?;
-        Ok((index, plan))
-    }
-
-    /// The shared allocation back half of both planning paths: solve the
-    /// problem's norm for the collected statistics. Crate-visible so the
-    /// incremental-maintenance path can re-run the identical allocation
-    /// over incrementally merged statistics.
+    /// The allocation back half of every preparation: solve the problem's
+    /// norm for the collected statistics. Crate-visible so the catalog's
+    /// preparation pipeline (fresh and incrementally maintained) runs the
+    /// identical allocation.
     pub(crate) fn allocate(
         &self,
         strata_exprs: Vec<ScalarExpr>,

@@ -63,6 +63,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub(crate) mod cache;
+pub mod catalog;
 pub mod confidence;
 pub mod engine;
 pub mod error;

@@ -20,8 +20,9 @@
 //!   a new stratum by definition has no rows there.
 //!
 //! Allocation and the stratified draw then re-run through the *same* code
-//! paths a fresh preparation uses, over bit-identical inputs. The upshot is
-//! the maintenance contract the ingest CI pins:
+//! path a fresh preparation uses ([`CatalogTable::allocate_and_draw`], the
+//! back half of [`CatalogTable::prepare`]), over bit-identical inputs. The
+//! upshot is the maintenance contract the ingest CI pins:
 //!
 //! > After any sequence of appends, a maintained sample is **byte-identical
 //! > to re-preparing from scratch** over the extended table — independent
@@ -44,9 +45,9 @@ use cvopt_table::agg::AggState;
 use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
 use cvopt_table::{GroupIndex, ScalarExpr, Table};
 
-use crate::engine::CatalogTable;
+use crate::catalog::CatalogTable;
 use crate::error::CvError;
-use crate::framework::{CvOptOutcome, CvOptSampler};
+use crate::framework::CvOptOutcome;
 use crate::spec::SamplingProblem;
 use crate::stats::{self, StratumStatistics};
 use crate::Result;
@@ -72,9 +73,9 @@ pub(crate) struct MaintainedSample {
 
 impl MaintainedSample {
     /// Prepare `problem` over `catalog` and capture the maintenance state.
-    /// The outcome is bit-identical to [`CvOptSampler::sample`] (or
-    /// `sample_sharded`) with the same seed and options; this counts as one
-    /// statistics pass and one draw, exactly like the fresh path.
+    /// The outcome is bit-identical to [`CatalogTable::prepare`] with the
+    /// same seed and options; this counts as one statistics pass and one
+    /// draw, exactly like the fresh path.
     pub(crate) fn build(
         problem: SamplingProblem,
         catalog: &CatalogTable,
@@ -88,9 +89,8 @@ impl MaintainedSample {
         let partials = catalog.tail_partials(&index, &columns, exec, 0)?;
         stats::record_pass();
         let stats = StratumStatistics::from_partials(&index, &columns, &partials);
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
-        let plan = sampler.allocate(strata_exprs.clone(), &index, stats)?;
-        let sample = catalog.draw(&index, &plan.allocation.sizes, seed, exec)?;
+        let outcome =
+            catalog.allocate_and_draw(&problem, strata_exprs.clone(), &index, stats, seed, exec)?;
         Ok(MaintainedSample {
             base_budget: problem.budget,
             base_rows: catalog.num_rows(),
@@ -98,7 +98,7 @@ impl MaintainedSample {
             strata_exprs,
             index,
             partials,
-            outcome: Arc::new(CvOptOutcome { sample, plan }),
+            outcome,
         })
     }
 
@@ -170,10 +170,9 @@ impl MaintainedSample {
 
         let stats = StratumStatistics::from_partials(&merged, &columns, &self.partials);
         self.problem.budget = self.scaled_budget(new_rows);
-        let sampler = CvOptSampler::new(self.problem.clone()).with_seed(seed).with_exec(*exec);
-        let plan = sampler.allocate(self.strata_exprs.clone(), &merged, stats)?;
-        let sample = catalog.draw(&merged, &plan.allocation.sizes, seed, exec)?;
-        self.outcome = Arc::new(CvOptOutcome { sample, plan });
+        let strata = self.strata_exprs.clone();
+        self.outcome =
+            catalog.allocate_and_draw(&self.problem, strata, &merged, stats, seed, exec)?;
         self.index = merged;
         Ok(())
     }
@@ -200,6 +199,7 @@ impl MaintainedSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::CvOptSampler;
     use crate::spec::QuerySpec;
     use cvopt_table::{DataType, ShardedTable, TableBuilder, Value};
 
@@ -296,11 +296,7 @@ mod tests {
             current = current.extended(&batch).unwrap();
             m.apply_append(&CatalogTable::Sharded(current.clone()), &batch, seed, &exec).unwrap();
         }
-        let fresh = CvOptSampler::new(m.problem().clone())
-            .with_seed(seed)
-            .with_exec(exec)
-            .sample_sharded(&current)
-            .unwrap();
+        let fresh = CatalogTable::Sharded(current).prepare(m.problem(), seed, &exec).unwrap();
         assert_outcomes_equal(m.outcome(), &fresh, "sharded append");
     }
 

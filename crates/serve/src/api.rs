@@ -293,12 +293,12 @@ fn tables(state: &ApiState, req: &Request) -> Response {
             return Response::ok(body.to_string());
         }
         None => {
-            let source = match shards {
+            let source: cvopt_core::CatalogTable = match shards {
                 Some(n) => match ShardedTable::split(&table, n) {
-                    Ok(sharded) => cvopt_core::CatalogTable::Sharded(sharded),
+                    Ok(sharded) => sharded.into(),
                     Err(e) => return Response::error(400, &e.to_string()),
                 },
-                None => cvopt_core::CatalogTable::Single(table),
+                None => table.into(),
             };
             match &window {
                 Some(col) => {

@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 
 use cvopt_core::{
-    budget_for_rate, problem_for_query, CvOptSampler, Engine, ExecOptions, Norm, QueryMode,
-    QuerySpec, SamplingProblem, StratifiedSample,
+    budget_for_rate, problem_for_query, CatalogTable, CvOptOutcome, CvOptSampler, Engine,
+    ExecOptions, Norm, QueryMode, QuerySpec, SamplingProblem, StratifiedSample,
 };
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{
@@ -80,6 +80,20 @@ fn layouts(table: &Table) -> Vec<(String, ShardedTable)> {
     out
 }
 
+/// Prepare `problem` over `table` through a fresh engine (so nothing is
+/// served from a cache): the one preparation pipeline every layout shares.
+fn engine_prepare(
+    table: impl Into<CatalogTable>,
+    problem: SamplingProblem,
+    seed: u64,
+    threads: usize,
+) -> cvopt_core::Result<CvOptOutcome> {
+    let mut engine = Engine::new().with_seed(seed).with_exec(ExecOptions::new(threads));
+    engine.register("t", table);
+    let handle = engine.prepare("t", problem)?;
+    Ok(CvOptOutcome { sample: handle.sample().clone(), plan: handle.plan().clone() })
+}
+
 fn problem(norm: Norm) -> SamplingProblem {
     SamplingProblem::single(QuerySpec::group_by(&["country", "parameter"]).aggregate("value"), 400)
         .with_norm(norm)
@@ -99,11 +113,7 @@ fn sharded_plan_and_sample_identical_to_unsharded() {
             .unwrap();
         for (name, sharded) in layouts(&table) {
             for threads in thread_counts() {
-                let outcome = CvOptSampler::new(problem(norm))
-                    .with_seed(7)
-                    .with_threads(threads)
-                    .sample_sharded(&sharded)
-                    .unwrap();
+                let outcome = engine_prepare(sharded.clone(), problem(norm), 7, threads).unwrap();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     outcome.plan.allocation.sizes, reference.plan.allocation.sizes,
@@ -334,11 +344,7 @@ proptest! {
             .unwrap();
         let sharded = ShardedTable::split(&table, k).unwrap();
         for threads in [1usize, 4] {
-            let outcome = CvOptSampler::new(spec.clone())
-                .with_seed(seed)
-                .with_threads(threads)
-                .sample_sharded(&sharded)
-                .unwrap();
+            let outcome = engine_prepare(sharded.clone(), spec.clone(), seed, threads).unwrap();
             prop_assert_eq!(&outcome.sample.origin, &reference.sample.origin);
             prop_assert_eq!(&outcome.plan.allocation.sizes, &reference.plan.allocation.sizes);
         }
@@ -398,11 +404,7 @@ mod remote {
         for (name, sharded) in layouts(&table) {
             let set = remote_set(&name, &sharded, &peers);
             for threads in thread_counts() {
-                let outcome = CvOptSampler::new(problem(Norm::L2))
-                    .with_seed(7)
-                    .with_threads(threads)
-                    .sample_set(&set)
-                    .unwrap();
+                let outcome = engine_prepare(set.clone(), problem(Norm::L2), 7, threads).unwrap();
                 assert_eq!(
                     outcome.plan.allocation.sizes, reference.plan.allocation.sizes,
                     "layout {name}, threads {threads}: allocation differs"
@@ -483,9 +485,7 @@ mod remote {
         let peers = [Arc::new(Peer::with_config(addr.to_string(), config).expect("peer"))];
         let set = remote_set("t", &sharded, &peers);
 
-        let sample = |set: &ShardSet| {
-            CvOptSampler::new(problem(Norm::L2)).with_seed(7).with_threads(2).sample_set(set)
-        };
+        let sample = |set: &ShardSet| engine_prepare(set.clone(), problem(Norm::L2), 7, 2);
         let reference = sample(&set).expect("live server answers");
 
         shardd.shutdown();
